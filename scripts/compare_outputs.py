@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Compare two artifact trees written by the cohabs CLI.
+
+Every `series.csv`, `summary.json` and `config.json`, and every other file
+that is not a Wigner grid, must be byte-equal.  Wigner grids (`wigner*.txt`
+and `wigner*.csv`) are parsed: their axes must agree exactly and their values
+and normalization integrals to within --wigner-atol, because `%.12g` text may
+legitimately differ in the last printed digit.  A file present in only one
+tree is a mismatch.
+
+Usage: python scripts/compare_outputs.py A B [--wigner-atol 1e-12]
+Exit code 0 when the trees agree, 1 otherwise.
+"""
+
+import argparse
+import pathlib
+import sys
+
+import numpy as np
+
+from cohabs.observables import load_wigner_text
+
+
+def _files(root: pathlib.Path) -> set[pathlib.Path]:
+    return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+
+def _is_wigner(rel: pathlib.Path) -> bool:
+    return rel.name.startswith("wigner") and rel.suffix in (".txt", ".csv")
+
+
+def _wigner_difference(a: pathlib.Path, b: pathlib.Path) -> tuple[float, bool]:
+    """Largest absolute difference of the grid values (and normalization
+    integral), and whether the coordinate axes agree exactly."""
+    if a.suffix == ".txt":
+        ga, gb = load_wigner_text(a), load_wigner_text(b)
+        if ga.values.shape != gb.values.shape:
+            return float("inf"), False
+        axes_equal = np.array_equal(ga.x, gb.x) and np.array_equal(ga.p, gb.p)
+        diff = max(float(np.max(np.abs(ga.values - gb.values))),
+                   abs(ga.normalization_integral - gb.normalization_integral))
+        return diff, axes_equal
+    ta = np.loadtxt(a, delimiter=",", skiprows=1, ndmin=2)
+    tb = np.loadtxt(b, delimiter=",", skiprows=1, ndmin=2)
+    if ta.shape != tb.shape:
+        return float("inf"), False
+    return float(np.max(np.abs(ta[:, 2] - tb[:, 2]))), np.array_equal(ta[:, :2], tb[:, :2])
+
+
+def compare(root_a: pathlib.Path, root_b: pathlib.Path, wigner_atol: float) -> bool:
+    files_a, files_b = _files(root_a), _files(root_b)
+    ok = True
+    for rel in sorted(files_a ^ files_b):
+        print(f"MISSING  {rel} (only in {root_a if rel in files_a else root_b})")
+        ok = False
+    worst = 0.0
+    for rel in sorted(files_a & files_b):
+        a, b = root_a / rel, root_b / rel
+        if _is_wigner(rel):
+            diff, axes_equal = _wigner_difference(a, b)
+            worst = max(worst, diff)
+            good = axes_equal and diff <= wigner_atol
+            print(f"{'OK' if good else 'DIFFER':8} {rel} max|dW|={diff:.3e}"
+                  + ("" if axes_equal else " (axes differ)"))
+        else:
+            good = a.read_bytes() == b.read_bytes()
+            print(f"{'OK' if good else 'DIFFER':8} {rel} "
+                  f"{'byte-equal' if good else 'bytes differ'}")
+        ok = ok and good
+    print(f"{'AGREE' if ok else 'DISAGREE'}: largest Wigner difference {worst:.3e} "
+          f"(atol {wigner_atol:g})")
+    return ok
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("a", type=pathlib.Path)
+    ap.add_argument("b", type=pathlib.Path)
+    ap.add_argument("--wigner-atol", type=float, default=1e-12)
+    args = ap.parse_args()
+    for root in (args.a, args.b):
+        if not root.is_dir():
+            print(f"error: {root} is not a directory", file=sys.stderr)
+            return 2
+    return 0 if compare(args.a, args.b, args.wigner_atol) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -629,7 +629,7 @@ def _variant_report(config: ScenarioConfig, neg_times: int = 0) -> dict:
 def robustness_suite(base: ScenarioConfig, jobs: int = 1,
                      output_dir: str | None = None,
                      mw_absorber_dim: int = 32, mw_cutoff: int = 96,
-                     mixed_ladder: tuple[int, ...] = (100, 120),
+                     mixed_ladder: tuple[int, ...] = (110, 120),
                      dephasing_cutoff: int = 120,
                      admixture_ps=(0.25, 0.5, 0.75)) -> dict:
     """Input-state and environment variants of the base scenario.

@@ -1,0 +1,35 @@
+import importlib.util
+import pathlib
+
+import numpy as np
+
+from cohabs.observables import WignerGrid, save_wigner_csv, save_wigner_text
+
+SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "compare_outputs.py"
+spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
+compare_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_outputs)
+
+
+def write_tree(root: pathlib.Path, values: np.ndarray, summary: str) -> pathlib.Path:
+    root.mkdir()
+    (root / "summary.json").write_text(summary)
+    axis = np.linspace(-1.0, 1.0, values.shape[0])
+    grid = WignerGrid(axis, axis.copy(), values, float(values.sum()))
+    save_wigner_text(grid, root / "wigner_max.txt")
+    save_wigner_csv(grid, root / "wigner_max.csv")
+    return root
+
+
+def test_agreement_and_each_kind_of_difference(tmp_path):
+    values = np.arange(9.0).reshape(3, 3) / 10
+    a = write_tree(tmp_path / "a", values, '{"c": 1}')
+    assert compare_outputs.compare(a, write_tree(tmp_path / "b", values, '{"c": 1}'), 1e-12)
+    # a Wigner difference within the tolerance passes, beyond it fails
+    shifted = write_tree(tmp_path / "c", values + 1e-9, '{"c": 1}')
+    assert compare_outputs.compare(a, shifted, 1e-8)
+    assert not compare_outputs.compare(a, shifted, 1e-12)
+    # any byte difference in other files fails, as does a missing file
+    assert not compare_outputs.compare(a, write_tree(tmp_path / "d", values, '{"c": 2}'), 1e-12)
+    (tmp_path / "d" / "summary.json").unlink()
+    assert not compare_outputs.compare(a, tmp_path / "d", 1e-12)

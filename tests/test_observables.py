@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from cohabs.errors import ShellRemovalError, StateError
@@ -20,6 +21,27 @@ def fock_dm(n, dim):
     rho = np.zeros((dim, dim), complex)
     rho[n, n] = 1.0
     return rho
+
+
+def direct_wigner(rho, x, p):
+    """Independent displaced-parity evaluation via scipy special functions."""
+    from scipy.special import eval_genlaguerre, gammaln
+    beta = math.sqrt(2) * (np.asarray(x, float) + 1j * np.asarray(p, float))
+    big_b = np.abs(beta) ** 2
+    total = np.zeros_like(beta)
+    dim = rho.shape[0]
+    for m in range(dim):
+        for n in range(dim):
+            if n >= m:
+                d = (math.sqrt(math.exp(gammaln(m + 1) - gammaln(n + 1)))
+                     * beta ** (n - m) * np.exp(-big_b / 2)
+                     * eval_genlaguerre(m, n - m, big_b))
+            else:
+                d = (math.sqrt(math.exp(gammaln(n + 1) - gammaln(m + 1)))
+                     * (-np.conj(beta)) ** (m - n) * np.exp(-big_b / 2)
+                     * eval_genlaguerre(n, m - n, big_b))
+            total += rho[m, n] * (-1) ** m * d
+    return total.real / math.pi
 
 
 def superpose(dim, *pairs):
@@ -183,30 +205,42 @@ class TestWigner:
         assert grid.values[60, 60] == pytest.approx(-1 / math.pi, abs=1e-12)
 
     def test_matches_direct_laguerre_formula(self, rng):
-        # independent displaced-parity evaluation via scipy special functions
-        from scipy.special import eval_genlaguerre, gammaln
         rho = random_density(rng, 7)
-
-        def direct(x, p):
-            beta = math.sqrt(2) * (x + 1j * p)
-            big_b = abs(beta) ** 2
-            total = 0.0j
-            for m in range(7):
-                for n in range(7):
-                    if n >= m:
-                        d = (math.sqrt(math.exp(gammaln(m + 1) - gammaln(n + 1)))
-                             * beta ** (n - m) * math.exp(-big_b / 2)
-                             * eval_genlaguerre(m, n - m, big_b))
-                    else:
-                        d = (math.sqrt(math.exp(gammaln(n + 1) - gammaln(m + 1)))
-                             * (-np.conj(beta)) ** (m - n) * math.exp(-big_b / 2)
-                             * eval_genlaguerre(n, m - n, big_b))
-                    total += rho[m, n] * (-1) ** m * d
-            return total.real / math.pi
-
         for x, p in [(0.0, 0.0), (0.8, -0.3), (-1.7, 2.2), (3.0, 1.0)]:
             mine = wigner_values(rho, np.array([x]), np.array([p]))[0]
-            assert mine == pytest.approx(direct(x, p), abs=1e-10)
+            assert mine == pytest.approx(direct_wigner(rho, x, p), abs=1e-10)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 10),
+           extent=st.floats(0.5, 4.0), lo=st.floats(-4.0, -0.1),
+           hi=st.floats(0.1, 4.0), nx=st.integers(2, 9), np_=st.integers(2, 9))
+    def test_full_grids_match_direct_formula(self, seed, dim, extent, lo, hi, nx, np_):
+        # whole grids (symmetric, asymmetric, non-square), each through the origin
+        rho = random_density(np.random.default_rng(seed), dim)
+        grids = [(np.linspace(-extent, extent, 2 * nx + 1),) * 2,
+                 (np.linspace(lo, hi, nx), np.linspace(-hi, -lo, nx)),
+                 (np.linspace(lo, hi, nx), np.linspace(lo, extent, np_))]
+        for x_axis, p_axis in grids:
+            x_mesh, p_mesh = np.meshgrid(np.union1d(x_axis, 0.0), np.union1d(p_axis, 0.0))
+            mine = wigner_values(rho, x_mesh, p_mesh)
+            assert mine.shape == x_mesh.shape
+            assert np.max(np.abs(mine - direct_wigner(rho, x_mesh, p_mesh))) <= 1e-12
+
+    def test_shared_radii_match_direct_formula(self, rng):
+        # an exactly symmetric half-integer lattice: up to eight points per radius
+        rho = random_density(rng, 9)
+        x_mesh, p_mesh = np.meshgrid(np.arange(-8, 9) * 0.5, np.arange(-8, 9) * 0.5)
+        radii = np.unique(np.abs(math.sqrt(2) * (x_mesh + 1j * p_mesh)) ** 2)
+        assert len(radii) < x_mesh.size / 4
+        mine = wigner_values(rho, x_mesh, p_mesh)
+        assert np.max(np.abs(mine - direct_wigner(rho, x_mesh, p_mesh))) <= 1e-12
+        # sharing a radius changes no arithmetic: equal bits to one point at a time
+        pointwise = [wigner_values(rho, x, p) for x, p in zip(x_mesh.flat, p_mesh.flat)]
+        assert np.array_equal(mine.ravel(), pointwise)
+
+    def test_fock_diagonal_has_no_angular_spread(self, rng):
+        pops = rng.random(10)
+        rho = np.diag(pops / pops.sum()).astype(complex)
+        assert radial_asymmetry(rho, radii=[0.0, 0.3, 1.1, 2.5, 4.0]) <= 1e-12
 
     def test_fock_diagonal_rotationally_symmetric(self, rng):
         pops = rng.random(8)
