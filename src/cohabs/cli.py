@@ -16,10 +16,7 @@ import sys
 from . import experiments
 from .errors import ConfigError, IntegrationError, SimulationError, TruncationError
 from .experiments import ScenarioConfig, load_config
-from .observables import WignerGridSpec, negativity_volume, save_wigner_csv, \
-    save_wigner_text, wigner
-from .hilbert import partial_trace
-from .models import OSC_LABEL
+from .observables import save_wigner_csv, save_wigner_text
 
 OUTPUT_ROOT_ENV = "COHABS_OUTPUT_ROOT"
 
@@ -119,16 +116,9 @@ def _cmd_robustness(config: ScenarioConfig, args) -> dict:
 
 
 def _cmd_wigner(config: ScenarioConfig, args) -> dict:
-    from . import states
-    model = config.model
-    layout = model.layout()
-    state = states.make_state(config.initial, layout, pump_amplitude=model.pump)
     tau = config.schedule.tau_max if config.schedule.points > 1 else 0.0
-    if tau > 0:
-        prop = experiments._propagator_for(model)
-        state = prop.state_at(state, tau / model.tau_scale())
-    rho = partial_trace(state, OSC_LABEL).data
-    grid = wigner(rho, WignerGridSpec.for_state(rho, points=config.diagnostics.wigner_points))
+    rho, = experiments.oscillator_states(config, [tau], cutoff=config.model.cutoff)
+    _, grid, negativity = experiments.wigner_snapshot(rho, config.diagnostics.wigner_points)
     out = _resolve_output(config, args)
     payload = {
         "name": config.name,
@@ -136,7 +126,7 @@ def _cmd_wigner(config: ScenarioConfig, args) -> dict:
         "center_value": float(grid.values[grid.values.shape[0] // 2,
                                           grid.values.shape[1] // 2]),
         "normalization_integral": grid.normalization_integral,
-        "negativity_volume": negativity_volume(grid),
+        "negativity_volume": negativity,
     }
     if out:
         os.makedirs(out, exist_ok=True)

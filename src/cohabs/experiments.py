@@ -28,7 +28,7 @@ from . import models, observables, states
 from .errors import ConfigError
 from .evolution import (HamiltonianPropagator, lindblad_evolve, sequential_switch,
                         top_level_population, LEAKAGE_WARN)
-from .hilbert import QuantumState, partial_trace
+from .hilbert import partial_trace
 from .models import Interaction, ModelSpec, OSC_LABEL
 from .observables import DiagnosticsRecord, WignerGridSpec, diagnose
 from .states import InitialStateSpec
@@ -197,6 +197,7 @@ def load_config(path) -> ScenarioConfig:
 
 _CACHE_LOCK = threading.Lock()
 _PROPAGATORS: dict[str, HamiltonianPropagator] = {}
+_BUILDING: dict[str, threading.Lock] = {}     # per-model lock held while one thread builds
 _CACHE_CAP = 12
 
 
@@ -205,13 +206,19 @@ def _propagator_for(model: ModelSpec) -> HamiltonianPropagator:
     with _CACHE_LOCK:
         if key in _PROPAGATORS:
             return _PROPAGATORS[key]
-    prop = HamiltonianPropagator(models.build_hamiltonian(model))
-    if model.layout().total_dim > 1024:      # very large one-off decompositions
-        return prop
-    with _CACHE_LOCK:
-        if len(_PROPAGATORS) >= _CACHE_CAP:
-            _PROPAGATORS.pop(next(iter(_PROPAGATORS)))
-        _PROPAGATORS[key] = prop
+        building = _BUILDING.setdefault(key, threading.Lock())
+    with building:
+        with _CACHE_LOCK:
+            if key in _PROPAGATORS:
+                return _PROPAGATORS[key]
+        prop = HamiltonianPropagator(models.build_hamiltonian(model))
+        with _CACHE_LOCK:
+            _BUILDING.pop(key, None)
+            if model.layout().total_dim > 1024:      # very large one-off decompositions
+                return prop
+            if len(_PROPAGATORS) >= _CACHE_CAP:
+                _PROPAGATORS.pop(next(iter(_PROPAGATORS)))
+            _PROPAGATORS[key] = prop
     return prop
 
 
@@ -258,65 +265,59 @@ class PointRun:
         return out
 
 
-def _schedule_grid(config: ScenarioConfig, model: ModelSpec):
-    """(taus, times) for the configured schedule under the model's tau scale."""
-    scale = model.tau_scale()
+def _evolve(config: ScenarioConfig, cutoff: int, taus, observe):
+    """Evolve the configured initial state at one cutoff and call
+    observe(t, state) at each raw time: the increasing scaled times `taus`
+    over the tau scale, or the schedule's own points when taus is None.  A
+    switch schedule has only its segment boundaries and accepts no `taus`.
+    Returns (taus, raw times)."""
     sched = config.schedule
-    if sched.kind == "switch":
-        taus = np.cumsum([s.tau for s in sched.segments])
-        return taus, taus / scale
-    taus = np.linspace(0.0, sched.tau_max, sched.points)
-    return taus, taus / scale
-
-
-def _series_at_cutoff(config: ScenarioConfig, cutoff: int):
-    """Diagnostics series at one cutoff; returns (taus, times, records)."""
-    model = replace(config.model, cutoff=cutoff)
-    layout = model.layout()
-    state0 = states.make_state(config.initial, layout, pump_amplitude=model.pump)
-    taus, times = _schedule_grid(config, model)
-    records: list[DiagnosticsRecord] = []
-
-    def observe(_t, state):
-        rho_osc = partial_trace(state, OSC_LABEL)
-        records.append(diagnose(rho_osc.data, top_level_population(state)))
-
-    if config.schedule.kind == "switch":
-        segs = config.schedule.segments
-        orders = [s.order for s in segs]
-        couplings = [model.coupling(s.order) for s in segs]
-        durations = [s.tau / model.tau_scale() for s in segs]
-        result = sequential_switch(orders, couplings, durations, state0)
-        for st in result.states:
-            observe(None, st)
-        return taus, times, records
-    if model.dephasing_rate > 0:
-        jumps = models.dephasing_dissipator(model.dephasing_rate, model)
-        h = models.build_hamiltonian(model)
-        lindblad_evolve(h, jumps, state0, times, tol=config.lindblad_tol,
-                        observer=observe, store_states=False)
-        return taus, times, records
-    prop = _propagator_for(model)
-    for t in times:
-        observe(t, prop.state_at(state0, float(t)))
-    return taus, times, records
-
-
-def _states_at(config: ScenarioConfig, cutoff: int, times_wanted) -> list[QuantumState]:
-    """Composite states at selected raw times (re-propagated at full accuracy)."""
+    if sched.kind == "switch" and taus is not None:
+        raise ConfigError("state reconstruction is only defined for continuous schedules")
     model = replace(config.model, cutoff=cutoff)
     state0 = states.make_state(config.initial, model.layout(), pump_amplitude=model.pump)
-    if config.schedule.kind == "switch":
-        raise ConfigError("state reconstruction is only defined for continuous schedules")
+    scale = model.tau_scale()
+    if sched.kind == "switch":
+        segs = sched.segments
+        result = sequential_switch([s.order for s in segs],
+                                   [model.coupling(s.order) for s in segs],
+                                   [s.tau / scale for s in segs], state0)
+        for t, state in zip(result.times, result.states):
+            observe(t, state)
+        taus = np.cumsum([s.tau for s in segs])
+        return taus, taus / scale
+    if taus is None:
+        taus = np.linspace(0.0, sched.tau_max, sched.points)
+    times = np.asarray(taus, float) / scale
     if model.dephasing_rate > 0:
         jumps = models.dephasing_dissipator(model.dephasing_rate, model)
-        h = models.build_hamiltonian(model)
-        grid = sorted(set(float(t) for t in times_wanted))
-        res = lindblad_evolve(h, jumps, state0, grid, tol=config.lindblad_tol)
-        lookup = dict(zip(grid, res.states))
-        return [lookup[float(t)] for t in times_wanted]
-    prop = _propagator_for(model)
-    return [prop.state_at(state0, float(t)) for t in times_wanted]
+        lindblad_evolve(models.build_hamiltonian(model), jumps, state0, times,
+                        tol=config.lindblad_tol, observer=observe, store_states=False)
+    else:
+        prop = _propagator_for(model)
+        for t in times:
+            observe(t, prop.state_at(state0, float(t)))
+    return taus, times
+
+
+def oscillator_states(config: ScenarioConfig, taus,
+                      cutoff: int | None = None) -> list[np.ndarray]:
+    """Reduced oscillator density matrices at the scaled times `taus`, at the
+    top ladder cutoff unless `cutoff` is given; continuous schedules only."""
+    grid = sorted({float(tau) for tau in taus})
+    rhos = []
+    _evolve(config, config.ladder()[-1] if cutoff is None else cutoff, grid,
+            lambda _t, state: rhos.append(partial_trace(state, OSC_LABEL).data))
+    lookup = dict(zip(grid, rhos))
+    return [lookup[float(tau)] for tau in taus]
+
+
+def wigner_snapshot(rho: np.ndarray, points: int):
+    """(grid spec, Wigner grid, negativity volume) of a reduced state on the
+    extent its mean occupation calls for."""
+    spec = WignerGridSpec.for_state(rho, points=points)
+    grid = observables.wigner(rho, spec)
+    return spec, grid, observables.negativity_volume(grid)
 
 
 def _headline(taus, records) -> tuple[float, float, float, float]:
@@ -335,9 +336,10 @@ def run_point(config: ScenarioConfig, coords: dict | None = None) -> PointRun:
     """Run the scenario over its cutoff ladder; series kept for the top cutoff."""
     ladder = config.ladder()
     max_by_cutoff = []
-    taus = times = records = None
     for cutoff in ladder:
-        taus, times, records = _series_at_cutoff(config, cutoff)
+        records: list[DiagnosticsRecord] = []
+        taus, times = _evolve(config, cutoff, None, lambda _t, state: records.append(
+            diagnose(partial_trace(state, OSC_LABEL).data, top_level_population(state))))
         max_by_cutoff.append(max((r.coherence for r in records), default=0.0))
     shift = (abs(max_by_cutoff[-1] - max_by_cutoff[-2])
              if len(max_by_cutoff) >= 2 else 0.0)
@@ -370,30 +372,21 @@ def _write_series_csv(path, taus, times, records) -> None:
             fh.write(f"{tau:.12g},{t:.12g}," + rec.csv_row() + "\n")
 
 
-def _osc_density(state: QuantumState) -> np.ndarray:
-    return partial_trace(state, OSC_LABEL).data
-
-
 def _diag_extras(config: ScenarioConfig, run: PointRun,
                  outdir: str | None) -> dict:
     """Wigner grids and shell removal at the max and half-max times; grid
     files are written only when an output directory is given."""
     info: dict = {}
-    cutoff = config.ladder()[-1]
-    scale = replace(config.model, cutoff=cutoff).tau_scale()
-    wanted = [run.tau_at_half / scale, run.tau_at_max / scale]
-    snap = _states_at(config, cutoff, wanted)
-    for label, state in zip(["half", "max"], snap):
-        rho = _osc_density(state)
+    snap = oscillator_states(config, [run.tau_at_half, run.tau_at_max])
+    for label, rho in zip(["half", "max"], snap):
         if config.diagnostics.wigner:
-            grid_spec = WignerGridSpec.for_state(rho, points=config.diagnostics.wigner_points)
-            grid = observables.wigner(rho, grid_spec)
+            grid_spec, grid, negativity = wigner_snapshot(rho, config.diagnostics.wigner_points)
             if outdir:
                 observables.save_wigner_text(grid, os.path.join(outdir, f"wigner_{label}.txt"))
                 observables.save_wigner_csv(grid, os.path.join(outdir, f"wigner_{label}.csv"))
             info[f"wigner_{label}"] = {
                 "normalization_integral": grid.normalization_integral,
-                "negativity_volume": observables.negativity_volume(grid),
+                "negativity_volume": negativity,
                 "extent": grid_spec.extent,
             }
         if config.diagnostics.shell_removal and label == "max":
@@ -496,10 +489,7 @@ def max_coherence_vs_n(config: ScenarioConfig, n_list, jobs: int = 1,
         cfg = _with_initial_n(config, n)
         run = run_point(cfg, coords={"n": int(n)})
         if config.diagnostics.shell_removal and n > 0:
-            cutoff = cfg.ladder()[-1]
-            scale = replace(cfg.model, cutoff=cutoff).tau_scale()
-            state = _states_at(cfg, cutoff, [run.tau_at_max / scale])[0]
-            rho = _osc_density(state)
+            rho, = oscillator_states(cfg, [run.tau_at_max])
             shelled = observables.remove_gaussian_shell(rho)
             run.extras["shell_removed_coherence"] = observables.coherence(shelled)
         return run
@@ -597,19 +587,12 @@ def _variant_report(config: ScenarioConfig, neg_times: int = 0) -> dict:
     """Headline numbers plus negativity volumes at the half-max and max times
     (and, when neg_times > 0, at that many later sample times)."""
     run = run_point(config)
-    cutoff = config.ladder()[-1]
-    scale = replace(config.model, cutoff=cutoff).tau_scale()
     tau_samples = [run.tau_at_half, run.tau_at_max]
     if neg_times > 0:
         tail = np.linspace(run.tau_at_half, float(run.taus[-1]), neg_times)
         tau_samples = tau_samples + [float(v) for v in tail]
-    snap = _states_at(config, cutoff, [tau / scale for tau in tau_samples])
-    negs = []
-    for state in snap:
-        rho = _osc_density(state)
-        grid = observables.wigner(
-            rho, WignerGridSpec.for_state(rho, points=config.diagnostics.wigner_points))
-        negs.append(observables.negativity_volume(grid))
+    negs = [wigner_snapshot(rho, config.diagnostics.wigner_points)[2]
+            for rho in oscillator_states(config, tau_samples)]
     report = {
         "max_coherence": run.max_coherence,
         "tau_at_max": run.tau_at_max,

@@ -40,13 +40,6 @@ class InitialStateSpec:
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"ground-state weight must lie in [0, 1], got {self.p}")
 
-    def is_pure(self) -> bool:
-        if self.kind in ("fock", "coherent", "ground"):
-            return True
-        if self.kind == "admixture":
-            return self.p in (0.0, 1.0)
-        return self.nbar == 0.0
-
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
         if self.kind in ("fock", "admixture"):

@@ -76,15 +76,12 @@ def landscape_result():
 def dephasing_run():
     cfg = load_config(CONFIGS / "appendixC_dephasing.json")
     run = run_scenario(cfg)
-    # composite states at the half-max time and two later samples
-    scale = cfg.model.tau_scale()
+    # oscillator states at the half-max time and two later samples
     taus = [run.tau_at_half,
             0.5 * (run.tau_at_half + float(run.taus[-1])),
             float(run.taus[-1])]
-    snaps = experiments._states_at(cfg, cfg.ladder()[-1], [t / scale for t in taus])
     negs = []
-    for st in snaps:
-        rho = osc_density(st)
+    for rho in experiments.oscillator_states(cfg, taus):
         grid = observables.wigner(
             rho, observables.WignerGridSpec.for_state(rho, points=201))
         negs.append(observables.negativity_volume(grid))

@@ -5,6 +5,7 @@ import pathlib
 import pytest
 
 from cohabs.cli import dispatch
+from cohabs.experiments import load_config, oscillator_states, wigner_snapshot
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -106,6 +107,25 @@ class TestDispatch:
         assert code == 0
         assert (out / "wigner.txt").exists()
         assert (out / "wigner.csv").exists()
+
+    def test_wigner_honours_dephasing(self, tmp_path, capsys):
+        def doc(rate):
+            return tiny_doc(model={"interactions": [[1, 1.0], [2, 0.1]], "cutoff": 16,
+                                   "dephasing_rate": rate},
+                            schedule={"type": "continuous", "tau_max": 0.6, "points": 4},
+                            diagnostics={"wigner_points": 41})
+        dephased_cfg = write_config(tmp_path, doc(0.05), "dephased")
+        _, dephased = run_json(capsys, ["wigner", "--config", dephased_cfg])
+        _, closed = run_json(capsys, ["wigner", "--config",
+                                      write_config(tmp_path, doc(0.0), "closed")])
+        assert dephased["negativity_volume"] != closed["negativity_volume"]
+        rho, = oscillator_states(load_config(dephased_cfg), [0.6])
+        assert dephased["negativity_volume"] == wigner_snapshot(rho, 41)[2]
+
+    def test_wigner_rejects_switch_schedule(self, tmp_path, capsys):
+        doc = tiny_doc(schedule={"type": "switch", "segments": [[1, 0.5], [2, 0.5]]})
+        code, _ = run_json(capsys, ["wigner", "--config", write_config(tmp_path, doc)])
+        assert code == 2
 
 
 class TestOverridesAndDryRun:

@@ -1,9 +1,14 @@
+from dataclasses import replace
 import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from cohabs import experiments
 from cohabs.errors import ConfigError
 from cohabs.experiments import (DiagnosticsFlags, ScenarioConfig, ScheduleSpec,
                                 SwitchSegment, admixture_sweep,
@@ -95,6 +100,24 @@ class TestRunScenario:
                       "wigner_max.txt", "wigner_max.csv"):
             assert (tmp_path / "a" / fname).read_bytes() == \
                 (tmp_path / "b" / fname).read_bytes(), fname
+
+    @pytest.mark.parametrize("initial", [InitialStateSpec("fock", n=3),
+                                         InitialStateSpec("admixture", n=3, p=0.4),
+                                         InitialStateSpec("thermal", nbar=0.5)])
+    def test_snapshot_matches_series(self, initial):
+        cfg = replace(tiny_config(points=30, tau_max=2.0,
+                                  diagnostics=DiagnosticsFlags(shell_removal=True)),
+                      initial=initial)
+        run = run_scenario(cfg)
+        assert run.extras["raw_coherence_at_max"] == run.max_coherence
+
+    def test_dephased_snapshot_matches_series(self):
+        cfg = tiny_config(cutoff=16, points=12, tau_max=0.6,
+                          diagnostics=DiagnosticsFlags(shell_removal=True))
+        cfg = replace(cfg, model=replace(cfg.model, dephasing_rate=0.05))
+        run = run_scenario(cfg)
+        assert run.extras["raw_coherence_at_max"] == pytest.approx(run.max_coherence,
+                                                                   abs=1e-6)
 
     def test_series_csv_columns(self, tmp_path):
         run_scenario(tiny_config(points=5), output_dir=str(tmp_path))
@@ -207,3 +230,39 @@ class TestSweeps:
         assert set(doc) == {"axes", "points", "argmax", "convergence"}
         assert doc["argmax"]["max_coherence"] == max(
             p["max_coherence"] for p in doc["points"])
+
+
+class TestPropagatorCache:
+    def test_concurrent_misses_build_once(self, monkeypatch):
+        built = []
+        workers = 4
+        start = threading.Barrier(workers)
+
+        class CountingPropagator:
+            def __init__(self, hamiltonian):
+                built.append(hamiltonian)
+                time.sleep(0.05)            # hold the build open while the others miss
+
+        monkeypatch.setattr(experiments, "HamiltonianPropagator", CountingPropagator)
+        model = tiny_config(cutoff=10).model
+        got = []
+
+        def request():
+            start.wait(timeout=10)
+            got.append(experiments._propagator_for(model))
+
+        interval = sys.getswitchinterval()
+        experiments.clear_propagator_cache()
+        try:
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=request) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            experiments.clear_propagator_cache()
+        assert len(built) == 1
+        assert len(got) == workers and all(p is got[0] for p in got)
