@@ -58,17 +58,26 @@ class HamiltonianPropagator:
     """Eigendecomposition-backed exact propagator exp(-i H t).
 
     One decomposition serves every requested time, for both vector and
-    density-matrix states.
+    density-matrix states.  A Hamiltonian whose imaginary part is exactly
+    zero (every model in `models`) is diagonalised in real arithmetic; its
+    eigenvectors are then stored complex once, because every product takes
+    them with a complex state.
     """
 
     def __init__(self, hamiltonian: Operator):
         if not hamiltonian.hermitian:
             raise StateError("propagation requires a Hermitian Hamiltonian")
         self.layout = hamiltonian.layout
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(hamiltonian.entries)
+        h = hamiltonian.entries
+        if h.imag.any():
+            self.eigenvalues, self.eigenvectors = np.linalg.eigh(h)
+        else:
+            self.eigenvalues, vecs = np.linalg.eigh(h.real)
+            self.eigenvectors = vecs.astype(complex)
 
     def vector_at(self, psi0: np.ndarray, t: float) -> np.ndarray:
-        c = self.eigenvectors.conj().T @ psi0
+        # V^dag psi0 as conj(conj(psi0) V): copies a vector, not the matrix
+        c = np.conj(np.conj(psi0) @ self.eigenvectors)
         return self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t) * c)
 
     def density_at(self, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -81,6 +90,10 @@ class HamiltonianPropagator:
                  trace_atol: float = hilbert.TRACE_ATOL) -> QuantumState:
         if state0.layout != self.layout:
             raise LayoutError("state layout does not match the Hamiltonian")
+        if t == 0.0:
+            # exp(-iH 0) is the identity; the eigenbasis round trip would
+            # leave round-off in, e.g., the zero number spread of a Fock input
+            return state0
         if state0.is_vector:
             return QuantumState(self.layout, self.vector_at(state0.data, t))
         rho = self.density_at(state0.data, t)

@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from . import hilbert
 from .errors import ConfigError, DimensionError, LayoutError, TruncationError
 from .hilbert import Operator, SpaceLayout
 
@@ -147,12 +146,110 @@ class ModelSpec:
 
 
 # ---------------------------------------------------------------------------
+# terms
+#
+# A term is a list of real sparse matrices on the spec's layout, each a
+# Kronecker product of one ladder-matrix diagonal per factor, held as
+# coordinate triplets (rows, cols, values).  build_hamiltonian adds a spec's
+# terms into one dense array; the public builders below wrap the same terms
+# one at a time.
+
+def _ladder(dim: int, k: int = 1):
+    """b^k on `dim` levels: <i| b^k |i+k> = sqrt(i+1) ... sqrt(i+k).  On two
+    levels b is sigma- = |g><e| in (g, e) order."""
+    s = np.sqrt(np.arange(1.0, dim))
+    values = s[:dim - k]
+    for j in range(1, k):
+        values = values * s[j:dim - k + j]
+    return np.arange(dim - k), np.arange(k, dim), values
+
+
+def _diagonal(values):
+    idx = np.arange(len(values))
+    return idx, idx, np.asarray(values, float)
+
+
+def _number(dim: int, scale: float = 1.0):
+    """scale * b^dag b on `dim` levels; on two levels, scale * |e><e|."""
+    return _diagonal(scale * np.arange(float(dim)))
+
+
+def _dagger(triplet):
+    rows, cols, values = triplet
+    return cols, rows, values
+
+
+def _kron(spec: ModelSpec, factors: dict):
+    """Kronecker product over the spec's layout: `factors[label]` on the
+    factors it names, the identity on the others."""
+    rows, cols, values = np.zeros(1, int), np.zeros(1, int), np.ones(1)
+    for label, dim in spec.layout().factors:
+        r, c, v = factors[label] if label in factors else _diagonal(np.ones(dim))
+        rows = np.add.outer(rows * dim, r).ravel()
+        cols = np.add.outer(cols * dim, c).ravel()
+        values = np.multiply.outer(values, v).ravel()
+    return rows, cols, values
+
+
+def _raising(k: int, spec: ModelSpec) -> dict:
+    """Factors of A^dag b^k, with A the absorber's lowering operator (sigma- or a)."""
+    if k >= spec.cutoff:
+        raise TruncationError(f"interaction order k={k} does not fit cutoff {spec.cutoff}")
+    dim_abs = spec.layout().dim(ABSORBER_LABEL)
+    return {ABSORBER_LABEL: _dagger(_ladder(dim_abs)), OSC_LABEL: _ladder(spec.cutoff, k)}
+
+
+def _plus_hc(g: float, spec: ModelSpec, factors: dict) -> list:
+    """g (X + X^dag) for X the Kronecker product of `factors`."""
+    rows, cols, values = _kron(spec, factors)
+    return [(rows, cols, g * values), (cols, rows, g * values)]
+
+
+def _interaction(k: int, g: float, spec: ModelSpec) -> list:
+    """The order-k absorption term of the spec's model: excitation exchange
+    with a qubit, the mixer with an oscillator absorber.  With a pump factor,
+    linear absorption g (sigma+ b a + h.c.) draws its energy from the pump
+    mode and the quadratic term acts as the identity on it."""
+    if not spec.has_pump:
+        return _plus_hc(g, spec, _raising(k, spec))
+    if k not in (1, 2):
+        raise ConfigError("pumped model supports interaction orders 1 and 2 only")
+    if spec.absorber != "qubit":
+        raise LayoutError("the pumped model requires a qubit absorber")
+    if k == 2:
+        return _plus_hc(g, spec, _raising(2, spec))
+    return _plus_hc(g, spec, {ABSORBER_LABEL: _dagger(_ladder(2)),
+                              OSC_LABEL: _ladder(spec.cutoff),
+                              PUMP_LABEL: _ladder(spec.effective_pump_dim())})
+
+
+def _free(omega: float, Omega: float, spec: ModelSpec) -> list:
+    """omega b^dag b + ((Omega/2) sigma_z or Omega a^dag a) + nu on the pump."""
+    if spec.absorber == "qubit":
+        h_abs = _diagonal([-0.5 * Omega, 0.5 * Omega])
+    else:
+        h_abs = _number(spec.absorber_dim, Omega)
+    terms = [_kron(spec, {OSC_LABEL: _number(spec.cutoff, omega)}),
+             _kron(spec, {ABSORBER_LABEL: h_abs})]
+    if spec.has_pump and spec.nu:
+        terms.append(_kron(spec, {PUMP_LABEL: _number(spec.effective_pump_dim(), spec.nu)}))
+    return terms
+
+
+def _dense(spec: ModelSpec, terms: list) -> np.ndarray:
+    n = spec.layout().total_dim
+    h = np.zeros((n, n), complex)
+    for rows, cols, values in terms:        # no index repeats within one triplet
+        h[rows, cols] += values
+    return h
+
+
+def _hermitian(spec: ModelSpec, terms: list) -> Operator:
+    return Operator(spec.layout(), _dense(spec, terms), True)
+
+
+# ---------------------------------------------------------------------------
 # interaction builders
-
-def _osc_power(k: int, cutoff: int) -> np.ndarray:
-    b = hilbert.annihilation(cutoff, OSC_LABEL).entries
-    return np.linalg.matrix_power(b, k)
-
 
 def jc_interaction(k: int, g: float, spec: ModelSpec) -> Operator:
     """Excitation-exchange coupling g (sigma+ b^k + sigma- b^dag^k).
@@ -161,15 +258,7 @@ def jc_interaction(k: int, g: float, spec: ModelSpec) -> Operator:
     """
     if spec.absorber != "qubit":
         raise LayoutError("jc_interaction requires a qubit absorber")
-    if k >= spec.cutoff:
-        raise TruncationError(f"interaction order k={k} does not fit cutoff {spec.cutoff}")
-    sp, sm, _ = hilbert.qubit_operators(ABSORBER_LABEL)
-    bk = _osc_power(k, spec.cutoff)
-    lay = spec.layout()
-    mat = g * (np.kron(sp.entries, bk) + np.kron(sm.entries, bk.conj().T))
-    if spec.has_pump:
-        mat = np.kron(mat, np.eye(spec.effective_pump_dim()))
-    return Operator(lay, mat, True)
+    return _hermitian(spec, _plus_hc(g, spec, _raising(k, spec)))
 
 
 def combined_interaction(g1: float, g2: float, spec: ModelSpec) -> Operator:
@@ -184,12 +273,7 @@ def mw_interaction(k: int, g: float, spec: ModelSpec) -> Operator:
     """
     if spec.absorber != "oscillator":
         raise LayoutError("mw_interaction requires an oscillator absorber")
-    if k >= spec.cutoff:
-        raise TruncationError(f"interaction order k={k} does not fit cutoff {spec.cutoff}")
-    a = hilbert.annihilation(spec.absorber_dim, ABSORBER_LABEL).entries
-    bk = _osc_power(k, spec.cutoff)
-    mat = g * (np.kron(a.conj().T, bk) + np.kron(a, bk.conj().T))
-    return Operator(spec.layout(), mat, True)
+    return _hermitian(spec, _plus_hc(g, spec, _raising(k, spec)))
 
 
 def completed_interaction(g1: float, g2: float, spec: ModelSpec) -> Operator:
@@ -200,17 +284,7 @@ def completed_interaction(g1: float, g2: float, spec: ModelSpec) -> Operator:
     """
     if not spec.has_pump:
         raise LayoutError("completed_interaction needs a pump factor (set spec.pump)")
-    if spec.absorber != "qubit":
-        raise LayoutError("completed_interaction requires a qubit absorber")
-    da = spec.effective_pump_dim()
-    sp, sm, _ = hilbert.qubit_operators(ABSORBER_LABEL)
-    b = hilbert.annihilation(spec.cutoff, OSC_LABEL).entries
-    a = hilbert.annihilation(da, PUMP_LABEL).entries
-    b2 = b @ b
-    tri = np.kron(np.kron(sp.entries, b), a)
-    quad = np.kron(np.kron(sp.entries, b2), np.eye(da))
-    mat = g1 * (tri + tri.conj().T) + g2 * (quad + quad.conj().T)
-    return Operator(spec.layout(), mat, True)
+    return _hermitian(spec, _interaction(1, g1, spec) + _interaction(2, g2, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +292,7 @@ def completed_interaction(g1: float, g2: float, spec: ModelSpec) -> Operator:
 
 def free_hamiltonian(omega: float, Omega: float, spec: ModelSpec) -> Operator:
     """H0 = omega b^dag b + absorber term ((Omega/2) sigma_z or Omega a^dag a)."""
-    lay = spec.layout()
-    n_osc = hilbert.embed(hilbert.number_operator(spec.cutoff, OSC_LABEL), lay)
-    if spec.absorber == "qubit":
-        _, _, sz = hilbert.qubit_operators(ABSORBER_LABEL)
-        habs = hilbert.embed(sz, lay) * (0.5 * Omega)
-    else:
-        habs = hilbert.embed(hilbert.number_operator(spec.absorber_dim, ABSORBER_LABEL),
-                             lay) * Omega
-    h = n_osc * omega + habs
-    if spec.has_pump and spec.nu:
-        h = h + hilbert.embed(hilbert.number_operator(spec.effective_pump_dim(),
-                                                      PUMP_LABEL), lay) * spec.nu
-    return h
+    return _hermitian(spec, _free(omega, Omega, spec))
 
 
 def detuned_hamiltonian(Delta: float, Omega: float, k: int, g: float,
@@ -241,34 +303,20 @@ def detuned_hamiltonian(Delta: float, Omega: float, k: int, g: float,
 
 
 def build_hamiltonian(spec: ModelSpec) -> Operator:
-    """Full Hamiltonian for the spec: free part plus every listed interaction."""
+    """Full Hamiltonian for the spec: free part plus every listed interaction,
+    added into one dense array and checked for hermiticity once."""
     omega = -spec.Delta if spec.Delta is not None else spec.omega
-    h = free_hamiltonian(omega, spec.Omega, spec)
+    terms = _free(omega, spec.Omega, spec)
     for it in spec.interactions:
-        if spec.has_pump:
-            if it.order == 1:
-                h = h + completed_interaction(it.coupling, 0.0, spec)
-            elif it.order == 2:
-                h = h + completed_interaction(0.0, it.coupling, spec)
-            else:
-                raise ConfigError("pumped model supports interaction orders 1 and 2 only")
-        elif spec.absorber == "qubit":
-            h = h + jc_interaction(it.order, it.coupling, spec)
-        else:
-            h = h + mw_interaction(it.order, it.coupling, spec)
-    return h
+        terms += _interaction(it.order, it.coupling, spec)
+    return _hermitian(spec, terms)
 
 
 def excitation_number(k: int, spec: ModelSpec) -> Operator:
     """N = k P_excited + b^dag b (qubit) or k a^dag a + b^dag b (oscillator)."""
-    lay = spec.layout()
-    n_osc = hilbert.embed(hilbert.number_operator(spec.cutoff, OSC_LABEL), lay)
-    if spec.absorber == "qubit":
-        sp, sm, _ = hilbert.qubit_operators(ABSORBER_LABEL)
-        proj = Operator(sp.layout, sp.entries @ sm.entries, True)
-        return n_osc + hilbert.embed(proj, lay) * float(k)
-    n_abs = hilbert.embed(hilbert.number_operator(spec.absorber_dim, ABSORBER_LABEL), lay)
-    return n_osc + n_abs * float(k)
+    dim_abs = spec.layout().dim(ABSORBER_LABEL)
+    return _hermitian(spec, [_kron(spec, {OSC_LABEL: _number(spec.cutoff)}),
+                             _kron(spec, {ABSORBER_LABEL: _number(dim_abs, float(k))})])
 
 
 def commutator_residual(h0: Operator, v: Operator, k: int, g: float,
@@ -288,13 +336,10 @@ def commutator_residual(h0: Operator, v: Operator, k: int, g: float,
 def frustration_reference(k: int, g: float, omega: float, Omega: float,
                           spec: ModelSpec) -> Operator:
     """Closed form g (k omega - Omega)(sigma- b^dag^k - sigma+ b^k)."""
-    sp, sm, _ = hilbert.qubit_operators(ABSORBER_LABEL)
-    bk = _osc_power(k, spec.cutoff)
-    mat = g * (k * omega - Omega) * (
-        np.kron(sm.entries, bk.conj().T) - np.kron(sp.entries, bk))
-    if spec.has_pump:
-        mat = np.kron(mat, np.eye(spec.effective_pump_dim()))
-    return Operator.create(spec.layout(), mat)
+    c = g * (k * omega - Omega)
+    rows, cols, values = _kron(spec, _raising(k, spec))
+    return Operator.create(spec.layout(),
+                           _dense(spec, [(cols, rows, c * values), (rows, cols, -c * values)]))
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +351,4 @@ def dephasing_dissipator(gamma: float, spec: ModelSpec) -> list[Operator]:
         raise ConfigError(f"dephasing rate must be >= 0, got {gamma}")
     if gamma == 0.0:
         return []
-    lay = spec.layout()
-    n_osc = hilbert.embed(hilbert.number_operator(spec.cutoff, OSC_LABEL), lay)
-    return [n_osc * math.sqrt(gamma)]
+    return [_hermitian(spec, [_kron(spec, {OSC_LABEL: _number(spec.cutoff, math.sqrt(gamma))})])]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from cohabs.errors import IntegrationError, StateError
-from cohabs.hilbert import QuantumState, partial_trace
+from cohabs.hilbert import (Operator, QuantumState, SpaceLayout, annihilation, embed,
+                            number_operator, partial_trace)
 from cohabs.models import (Interaction, ModelSpec, build_hamiltonian,
                            combined_interaction, dephasing_dissipator,
                            excitation_number, free_hamiltonian, jc_interaction)
@@ -13,7 +15,7 @@ from cohabs.evolution import (EvolutionResult, HamiltonianPropagator,
                               bch_first_order, lindblad_evolve,
                               sequential_switch, switch_coefficients,
                               top_level_population, unitary_evolve)
-from conftest import random_density
+from conftest import random_density, random_ket
 
 
 def two_body(cutoff=16, g1=1.0, g2=0.1, **kw):
@@ -105,6 +107,35 @@ class TestUnitaryEvolve:
     def test_times_must_increase(self):
         with pytest.raises(StateError):
             EvolutionResult(np.array([0.0, 0.0]), (), np.zeros(2), False)
+
+
+class TestHamiltonianPropagator:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.floats(0.0, 3.0),
+           st.booleans())
+    def test_matches_matrix_exponential(self, seed, dim, t, real):
+        # real H takes the real eigensolver, complex H the complex one
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(dim, dim))
+        if not real:
+            a = a + 1j * rng.normal(size=(dim, dim))
+        layout = SpaceLayout.single("osc", dim)
+        h = Operator(layout, 0.5 * (a + a.conj().T), True)
+        prop = HamiltonianPropagator(h)
+        assert bool(prop.eigenvectors.imag.any()) is not real
+        u = scipy.linalg.expm(-1j * t * h.entries)
+        psi0 = QuantumState(layout, random_ket(rng, dim))
+        rho0 = QuantumState(layout, random_density(rng, dim))
+        assert np.max(np.abs(prop.state_at(psi0, t).data - u @ psi0.data)) < 1e-12
+        assert np.max(np.abs(prop.state_at(rho0, t).data
+                             - u @ rho0.data @ u.conj().T)) < 1e-12
+
+    def test_zero_time_returns_the_input(self, rng):
+        # a Fock input keeps exactly zero number spread at t = 0
+        s = two_body(cutoff=40)
+        prop = HamiltonianPropagator(build_hamiltonian(s))
+        rho0 = QuantumState(s.layout(), random_density(rng, 80))
+        for state0 in (fock_state(s, 7), rho0):
+            assert np.array_equal(prop.state_at(state0, 0.0).data, state0.data)
 
 
 class TestSwitchCoefficients:
@@ -244,6 +275,20 @@ class TestLindblad:
         res = lindblad_evolve(zero_h, jumps, rho0, times, tol=1e-10)
         for t, stt in zip(times, res.states):
             assert stt.data[0, 2] == pytest.approx(0.5 * np.exp(-2 * gamma * t), abs=1e-7)
+
+    def test_amplitude_damping_mean_number(self):
+        # L = sqrt(kappa) b with H = 0 from |g, n0>: <n>(t) = n0 e^{-kappa t}
+        kappa, n0 = 0.4, 4
+        s = two_body(cutoff=8)
+        layout = s.layout()
+        jump = embed(annihilation(8, "osc"), layout) * np.sqrt(kappa)
+        zero_h = Operator(layout, np.zeros((16, 16)), True)
+        n_op = embed(number_operator(8, "osc"), layout).entries
+        times = [0.5, 1.0, 2.0, 4.0]
+        res = lindblad_evolve(zero_h, [jump], fock_state(s, n0), times, tol=1e-10)
+        for t, stt in zip(times, res.states):
+            mean_n = np.trace(n_op @ stt.data).real
+            assert mean_n == pytest.approx(n0 * np.exp(-kappa * t), abs=1e-7)
 
     def test_trace_preserved_to_roundoff(self, rng):
         s, h, jumps = self.small()

@@ -246,6 +246,49 @@ class TestDephasing:
             dephasing_dissipator(-0.1, spec())
 
 
+class TestBuildHamiltonian:
+    @staticmethod
+    def term_sum(s):
+        omega = -s.Delta if s.Delta is not None else s.omega
+        h = free_hamiltonian(omega, s.Omega, s)
+        if s.has_pump:
+            g = {it.order: it.coupling for it in s.interactions}
+            return h + completed_interaction(g.get(1, 0.0), g.get(2, 0.0), s)
+        builder = jc_interaction if s.absorber == "qubit" else mw_interaction
+        for it in s.interactions:
+            h = h + builder(it.order, it.coupling, s)
+        return h
+
+    @pytest.mark.parametrize("s", [
+        spec(),
+        spec(omega=0.3, Omega=-0.7),
+        spec(Delta=0.5, omega=2.0, Omega=1.1),
+        spec(interactions=(Interaction(3, 0.05), Interaction(1, -1.0)), omega=0.1),
+        spec(absorber="oscillator", absorber_dim=4, omega=0.2, Omega=0.4),
+        spec(absorber="oscillator", absorber_dim=3, Delta=-0.3,
+             interactions=(Interaction(1, 1.0), Interaction(2, 0.1), Interaction(3, 0.02))),
+        spec(pump=1.5 + 0j, pump_dim=5, cutoff=6, omega=0.2, Omega=0.3),
+        spec(pump=0.5 - 1.0j, pump_dim=4, cutoff=6, nu=0.3, Delta=0.1),
+        spec(pump=2.0 + 0j, pump_dim=4, cutoff=5, interactions=(Interaction(2, 0.4),)),
+    ], ids=["qubit", "free", "Delta", "order3", "oscillator", "oscillator-order3",
+            "pump", "pump-nu", "pump-quadratic"])
+    def test_equals_sum_of_public_terms(self, s):
+        assert np.array_equal(build_hamiltonian(s).entries, self.term_sum(s).entries)
+
+    def test_pumped_order_three_rejected(self):
+        s = spec(pump=1.0 + 0j, pump_dim=4, cutoff=6,
+                 interactions=(Interaction(1, 1.0), Interaction(3, 0.1)))
+        with pytest.raises(ConfigError):
+            build_hamiltonian(s)
+
+    @pytest.mark.parametrize("absorber", ["qubit", "oscillator"])
+    def test_order_beyond_cutoff_rejected(self, absorber):
+        s = spec(cutoff=4, absorber=absorber, absorber_dim=3,
+                 interactions=(Interaction(1, 1.0), Interaction(4, 0.1)))
+        with pytest.raises(TruncationError):
+            build_hamiltonian(s)
+
+
 class TestModelSpec:
     def test_every_built_hamiltonian_is_hermitian(self):
         for s in (spec(), spec(omega=1.0, Omega=2.0), spec(Delta=0.5),
