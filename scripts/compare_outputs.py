@@ -8,12 +8,17 @@ and normalization integrals to within --wigner-atol, because `%.12g` text may
 legitimately differ in the last printed digit.  A file present in only one
 tree is a mismatch.
 
+A text file whose bytes differ but whose non-numeric text is the same is
+also compared number by number, and its largest absolute difference is
+printed; it still counts as a mismatch.
+
 Usage: python scripts/compare_outputs.py A B [--wigner-atol 1e-12]
 Exit code 0 when the trees agree, 1 otherwise.
 """
 
 import argparse
 import pathlib
+import re
 import sys
 
 import numpy as np
@@ -47,6 +52,23 @@ def _wigner_difference(a: pathlib.Path, b: pathlib.Path) -> tuple[float, bool]:
     return float(np.max(np.abs(ta[:, 2] - tb[:, 2]))), np.array_equal(ta[:, :2], tb[:, :2])
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _numeric_difference(a: pathlib.Path, b: pathlib.Path) -> float | None:
+    """Largest absolute difference between the numbers of two text files, or
+    None when their text apart from the numbers differs."""
+    try:
+        ta, tb = a.read_text(), b.read_text()
+    except UnicodeDecodeError:
+        return None
+    if NUMBER.sub("#", ta) != NUMBER.sub("#", tb):
+        return None
+    va = np.array([float(v) for v in NUMBER.findall(ta)])
+    vb = np.array([float(v) for v in NUMBER.findall(tb)])
+    return float(np.max(np.abs(va - vb), initial=0.0))
+
+
 def compare(root_a: pathlib.Path, root_b: pathlib.Path, wigner_atol: float) -> bool:
     files_a, files_b = _files(root_a), _files(root_b)
     ok = True
@@ -64,8 +86,11 @@ def compare(root_a: pathlib.Path, root_b: pathlib.Path, wigner_atol: float) -> b
                   + ("" if axes_equal else " (axes differ)"))
         else:
             good = a.read_bytes() == b.read_bytes()
-            print(f"{'OK' if good else 'DIFFER':8} {rel} "
-                  f"{'byte-equal' if good else 'bytes differ'}")
+            detail = "byte-equal" if good else "bytes differ"
+            if not good:
+                diff = _numeric_difference(a, b)
+                detail += "" if diff is None else f", max|d|={diff:.3e}"
+            print(f"{'OK' if good else 'DIFFER':8} {rel} {detail}")
         ok = ok and good
     print(f"{'AGREE' if ok else 'DISAGREE'}: largest Wigner difference {worst:.3e} "
           f"(atol {wigner_atol:g})")

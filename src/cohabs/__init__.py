@@ -3,9 +3,9 @@ and nonlinear phase-insensitive absorption."""
 
 from .errors import (ConfigError, DimensionError, IntegrationError, LayoutError,
                      ShellRemovalError, SimulationError, StateError, TruncationError)
-from .hilbert import (Operator, QuantumState, SpaceLayout, annihilation, basis_state,
-                      embed, identity, number_operator, partial_trace, qubit_operators,
-                      tensor)
+from .hilbert import (KetEnsemble, Operator, QuantumState, SpaceLayout, annihilation,
+                      basis_state, embed, identity, number_operator, partial_trace,
+                      qubit_operators, tensor)
 from .models import (Interaction, ModelSpec, build_hamiltonian, combined_interaction,
                      commutator_residual, completed_interaction, dephasing_dissipator,
                      detuned_hamiltonian, excitation_number, free_hamiltonian,

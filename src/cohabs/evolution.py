@@ -4,7 +4,9 @@ product-formula step, and a Lindblad master-equation integrator.
 
 Unitary propagation goes through a Hermitian eigendecomposition, which is
 exact for arbitrary times and amortizes across the hundreds of output points
-of a sweep.  The master equation is integrated by an adaptive Strang
+of a sweep.  States are propagated as ket ensembles: a mixed input that is
+diagonal in the Fock basis costs one column per nonzero population, never a
+dense density matrix.  The master equation is integrated by an adaptive Strang
 splitting: every step composes the exact unitary (a phase in the eigenbasis
 of H) with the exact dissipative semigroup, so every step is a CPTP map and
 the state stays positive at any tolerance.  The density matrix is evolved
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import hilbert, models
 from .errors import IntegrationError, LayoutError, StateError
-from .hilbert import Operator, QuantumState
+from .hilbert import KetEnsemble, Operator, QuantumState
 from .models import ABSORBER_LABEL, OSC_LABEL
 
 LEAKAGE_LEVELS = 5
@@ -41,31 +43,53 @@ class EvolutionResult:
             raise StateError("result times must be strictly increasing")
 
 
-def top_level_population(state: QuantumState, label: str = OSC_LABEL,
+def top_level_population(state: QuantumState | KetEnsemble, label: str = OSC_LABEL,
                          levels: int = LEAKAGE_LEVELS) -> float:
     """Probability mass in the top `levels` Fock levels of one factor."""
     axis = state.layout.axis(label)
     dims = state.layout.dims
-    if state.is_vector:
-        probs = np.abs(state.data.reshape(dims)) ** 2
-        sum_axes = tuple(i for i in range(len(dims)) if i != axis)
-        pops = probs.sum(axis=sum_axes)
+    if isinstance(state, KetEnsemble):
+        probs = (state.kets.real ** 2 + state.kets.imag ** 2).sum(axis=1)
+    elif state.is_vector:
+        probs = np.abs(state.data) ** 2
     else:
-        diag = np.real(np.diagonal(state.data)).reshape(dims)
-        sum_axes = tuple(i for i in range(len(dims)) if i != axis)
-        pops = diag.sum(axis=sum_axes)
+        probs = np.real(np.diagonal(state.data))
+    sum_axes = tuple(i for i in range(len(dims)) if i != axis)
+    pops = probs.reshape(dims).sum(axis=sum_axes)
     k = min(levels, dims[axis])
     return float(pops[-k:].sum())
+
+
+def _product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for a complex (D, K) block x.  A real `a` multiplies the real and
+    imaginary parts of x, interleaved as the columns of one real (D, 2K)
+    view, so it is never cast against a complex block."""
+    if np.iscomplexobj(a):
+        return a @ x
+    return (a @ np.ascontiguousarray(x, complex).view(float)).view(complex)
+
+
+@dataclass(frozen=True)
+class EigenExpansion:
+    """A state expanded once in a propagator's eigenbasis, C = V^dag Psi0 for
+    its ket ensemble Psi0; each later time then costs one block product."""
+
+    initial: QuantumState | KetEnsemble
+    coeffs: np.ndarray
+
+    @property
+    def is_vector(self) -> bool:
+        return self.initial.is_vector
 
 
 class HamiltonianPropagator:
     """Eigendecomposition-backed exact propagator exp(-i H t).
 
-    One decomposition serves every requested time, for both vector and
-    density-matrix states.  A Hamiltonian whose imaginary part is exactly
-    zero (every model in `models`) is diagonalised in real arithmetic; its
-    eigenvectors are then stored complex once, because every product takes
-    them with a complex state.
+    One decomposition serves every requested time.  Every state is
+    propagated as a ket ensemble (see `KetEnsemble`): a vector is one ket,
+    a density matrix its populations or eigenvectors.  A Hamiltonian whose
+    imaginary part is exactly zero (every model in `models`) is
+    diagonalised in real arithmetic and keeps real eigenvectors.
     """
 
     def __init__(self, hamiltonian: Operator):
@@ -73,36 +97,33 @@ class HamiltonianPropagator:
             raise StateError("propagation requires a Hermitian Hamiltonian")
         self.layout = hamiltonian.layout
         h = hamiltonian.entries
-        if h.imag.any():
-            self.eigenvalues, self.eigenvectors = np.linalg.eigh(h)
-        else:
-            self.eigenvalues, vecs = np.linalg.eigh(h.real)
-            self.eigenvectors = vecs.astype(complex)
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(h if h.imag.any() else h.real)
 
-    def vector_at(self, psi0: np.ndarray, t: float) -> np.ndarray:
-        # V^dag psi0 as conj(conj(psi0) V): copies a vector, not the matrix
-        c = np.conj(np.conj(psi0) @ self.eigenvectors)
-        return self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t) * c)
-
-    def density_at(self, rho0: np.ndarray, t: float) -> np.ndarray:
-        phase = np.exp(-1j * self.eigenvalues * t)
-        u = self.eigenvectors * phase
-        rho_eig = self.eigenvectors.conj().T @ rho0 @ self.eigenvectors
-        return u @ rho_eig @ u.conj().T
-
-    def state_at(self, state0: QuantumState, t: float,
-                 trace_atol: float = hilbert.TRACE_ATOL) -> QuantumState:
+    def expand(self, state0: QuantumState | KetEnsemble) -> EigenExpansion:
+        """C = V^dag Psi0, computed once per trajectory."""
         if state0.layout != self.layout:
             raise LayoutError("state layout does not match the Hamiltonian")
+        ensemble = (state0 if isinstance(state0, KetEnsemble)
+                    else KetEnsemble.from_state(state0))
+        return EigenExpansion(state0, _product(self.eigenvectors.conj().T, ensemble.kets))
+
+    def state_at(self, state0: QuantumState | KetEnsemble | EigenExpansion, t: float):
+        """The state at time t, of the same kind as the initial state: a
+        vector, a density matrix or a KetEnsemble.  Pass an EigenExpansion
+        to reuse one expansion across many times."""
+        expansion = state0 if isinstance(state0, EigenExpansion) else self.expand(state0)
+        initial = expansion.initial
         if t == 0.0:
             # exp(-iH 0) is the identity; the eigenbasis round trip would
             # leave round-off in, e.g., the zero number spread of a Fock input
-            return state0
-        if state0.is_vector:
-            return QuantumState(self.layout, self.vector_at(state0.data, t))
-        rho = self.density_at(state0.data, t)
-        rho = 0.5 * (rho + rho.conj().T)
-        return QuantumState(self.layout, rho, trace_atol=trace_atol)
+            return initial
+        phase = np.exp(-1j * self.eigenvalues * t)
+        kets = _product(self.eigenvectors, phase[:, None] * expansion.coeffs)
+        if isinstance(initial, KetEnsemble):
+            return KetEnsemble(self.layout, kets)
+        if initial.is_vector:
+            return QuantumState(self.layout, kets[:, 0])
+        return QuantumState(self.layout, KetEnsemble(self.layout, kets).density())
 
 
 def unitary_evolve(hamiltonian: Operator, state0: QuantumState, times,
@@ -113,11 +134,12 @@ def unitary_evolve(hamiltonian: Operator, state0: QuantumState, times,
     store_states=False to stream long sweeps without retaining every state.
     """
     prop = HamiltonianPropagator(hamiltonian)
+    initial = prop.expand(state0)
     times = np.asarray(list(times), float)
     states = []
     leakage = np.empty(len(times))
     for i, t in enumerate(times):
-        st = prop.state_at(state0, float(t))
+        st = prop.state_at(initial, float(t))
         leakage[i] = top_level_population(st)
         if observer is not None:
             observer(float(t), st)
@@ -256,9 +278,8 @@ class _StrangStep:
     def __init__(self, hamiltonian: Operator, jump_ops: list[Operator]):
         prop = HamiltonianPropagator(hamiltonian)
         self.energies = prop.eigenvalues
-        vecs = prop.eigenvectors
         # a real H has real eigenvectors: each basis change is then real products
-        self.vecs = vecs if vecs.imag.any() else np.ascontiguousarray(vecs.real)
+        self.vecs = prop.eigenvectors
         self.vecs_dag = np.ascontiguousarray(self.vecs.conj().T)
         mats = [L.entries for L in jump_ops]
         dim = len(self.energies)

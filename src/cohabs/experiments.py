@@ -28,7 +28,7 @@ from . import models, observables, states
 from .errors import ConfigError
 from .evolution import (HamiltonianPropagator, lindblad_evolve, sequential_switch,
                         top_level_population, LEAKAGE_WARN)
-from .hilbert import partial_trace
+from .hilbert import KetEnsemble, partial_trace
 from .models import Interaction, ModelSpec, OSC_LABEL
 from .observables import DiagnosticsRecord, WignerGridSpec, diagnose
 from .states import InitialStateSpec
@@ -270,6 +270,7 @@ def _evolve(config: ScenarioConfig, cutoff: int, taus, observe):
     observe(t, state) at each raw time: the increasing scaled times `taus`
     over the tau scale, or the schedule's own points when taus is None.  A
     switch schedule has only its segment boundaries and accepts no `taus`.
+    Unitary runs pass KetEnsembles, dephased runs density-matrix states.
     Returns (taus, raw times)."""
     sched = config.schedule
     if sched.kind == "switch" and taus is not None:
@@ -283,7 +284,7 @@ def _evolve(config: ScenarioConfig, cutoff: int, taus, observe):
                                    [model.coupling(s.order) for s in segs],
                                    [s.tau / scale for s in segs], state0)
         for t, state in zip(result.times, result.states):
-            observe(t, state)
+            observe(t, KetEnsemble.from_state(state))
         taus = np.cumsum([s.tau for s in segs])
         return taus, taus / scale
     if taus is None:
@@ -295,24 +296,26 @@ def _evolve(config: ScenarioConfig, cutoff: int, taus, observe):
                         tol=config.lindblad_tol, observer=observe, store_states=False)
     else:
         prop = _propagator_for(model)
+        initial = prop.expand(KetEnsemble.from_state(state0))
         for t in times:
-            observe(t, prop.state_at(state0, float(t)))
+            observe(t, prop.state_at(initial, float(t)))
     return taus, times
 
 
-def oscillator_states(config: ScenarioConfig, taus,
-                      cutoff: int | None = None) -> list[np.ndarray]:
-    """Reduced oscillator density matrices at the scaled times `taus`, at the
-    top ladder cutoff unless `cutoff` is given; continuous schedules only."""
+def oscillator_states(config: ScenarioConfig, taus, cutoff: int | None = None) -> list:
+    """Reduced oscillator states at the scaled times `taus`, at the top ladder
+    cutoff unless `cutoff` is given; continuous schedules only.  Unitary runs
+    give ket ensembles (rho = Phi Phi^dag), dephased runs density matrices;
+    every function in `observables` takes either."""
     grid = sorted({float(tau) for tau in taus})
     rhos = []
     _evolve(config, config.ladder()[-1] if cutoff is None else cutoff, grid,
-            lambda _t, state: rhos.append(partial_trace(state, OSC_LABEL).data))
+            lambda _t, state: rhos.append(partial_trace(state, OSC_LABEL)))
     lookup = dict(zip(grid, rhos))
     return [lookup[float(tau)] for tau in taus]
 
 
-def wigner_snapshot(rho: np.ndarray, points: int):
+def wigner_snapshot(rho, points: int):
     """(grid spec, Wigner grid, negativity volume) of a reduced state on the
     extent its mean occupation calls for."""
     spec = WignerGridSpec.for_state(rho, points=points)
@@ -339,7 +342,7 @@ def run_point(config: ScenarioConfig, coords: dict | None = None) -> PointRun:
     for cutoff in ladder:
         records: list[DiagnosticsRecord] = []
         taus, times = _evolve(config, cutoff, None, lambda _t, state: records.append(
-            diagnose(partial_trace(state, OSC_LABEL).data, top_level_population(state))))
+            diagnose(partial_trace(state, OSC_LABEL), top_level_population(state))))
         max_by_cutoff.append(max((r.coherence for r in records), default=0.0))
     shift = (abs(max_by_cutoff[-1] - max_by_cutoff[-2])
              if len(max_by_cutoff) >= 2 else 0.0)

@@ -25,6 +25,7 @@ HERMITIAN_ATOL = 1e-12
 NORM_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-9
+HERMITIAN_BLOCK = 1 << 16     # entries per row block of the hermiticity check
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -79,6 +80,14 @@ class SpaceLayout:
         return SpaceLayout(self.factors + other.factors)
 
 
+def _hermitian_deviation(a: np.ndarray) -> float:
+    """max|A - A^dag| taken over blocks of rows, so that no temporary is as
+    large as A (the Hamiltonians reach thousands of states)."""
+    step = max(1, HERMITIAN_BLOCK // a.shape[0])
+    return float(np.max([np.max(np.abs(a[i:i + step] - a[:, i:i + step].conj().T))
+                         for i in range(0, a.shape[0], step)]))
+
+
 @dataclass(frozen=True)
 class Operator:
     """Dense operator on a composite space, with a verified hermiticity flag."""
@@ -95,14 +104,14 @@ class Operator:
             )
         object.__setattr__(self, "entries", _frozen(self.entries))
         if self.hermitian:
-            dev = np.max(np.abs(self.entries - self.entries.conj().T))
+            dev = _hermitian_deviation(self.entries)
             if dev >= HERMITIAN_ATOL:
                 raise StateError(f"hermitian flag set but max|A - A^dag| = {dev:.3e}")
 
     @staticmethod
     def create(layout: SpaceLayout, entries: np.ndarray) -> "Operator":
         """Construct with the hermiticity flag detected from the entries."""
-        dev = np.max(np.abs(entries - np.asarray(entries).conj().T))
+        dev = _hermitian_deviation(np.asarray(entries))
         return Operator(layout, np.asarray(entries, complex), bool(dev < HERMITIAN_ATOL))
 
     @property
@@ -201,6 +210,49 @@ class QuantumState:
         return lam
 
 
+@dataclass(frozen=True)
+class KetEnsemble:
+    """State rho = sum_k w_k |psi_k><psi_k| held as the columns
+    sqrt(w_k) |psi_k> of one (D, K) matrix, so that rho = kets kets^dag.
+
+    A pure state is K = 1, a state diagonal in the product basis has one
+    column per nonzero population.  Unitary propagation acts on the K
+    columns, and a partial trace only regroups them (see `partial_trace`).
+    `is_vector` marks a single ket, as it does for `QuantumState`.
+    """
+
+    layout: SpaceLayout
+    kets: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "kets", _frozen(self.kets))
+
+    @staticmethod
+    def from_state(state: QuantumState) -> "KetEnsemble":
+        """The ensemble of a state: its vector, the populations of a diagonal
+        density matrix, or the eigendecomposition of any other."""
+        if state.is_vector:
+            return KetEnsemble(state.layout, state.data[:, None])
+        rho = state.data
+        pops = np.real(np.diagonal(rho))
+        if np.count_nonzero(rho) == np.count_nonzero(pops):     # nothing off the diagonal
+            weights, vecs = pops, np.identity(len(pops))
+        else:
+            weights, vecs = np.linalg.eigh(rho)
+        if weights.min() < -PSD_ATOL:
+            raise StateError(f"density matrix has eigenvalue {weights.min():.3e}")
+        keep = weights > 0
+        return KetEnsemble(state.layout, vecs[:, keep] * np.sqrt(weights[keep]))
+
+    @property
+    def is_vector(self) -> bool:
+        return self.kets.shape[1] == 1
+
+    def density(self) -> np.ndarray:
+        rho = self.kets @ self.kets.conj().T
+        return 0.5 * (rho + rho.conj().T)
+
+
 # ---------------------------------------------------------------------------
 # elementary operators
 
@@ -278,14 +330,22 @@ def basis_state(layout: SpaceLayout, occupations: dict[str, int]) -> QuantumStat
     return QuantumState(layout, reduce(np.kron, vecs))
 
 
-def partial_trace(state: QuantumState, keep: str) -> QuantumState:
-    """Reduced density matrix on the kept factor; always returns a matrix state."""
+def partial_trace(state: QuantumState | KetEnsemble, keep: str):
+    """Reduced state on the kept factor.
+
+    A QuantumState gives a density-matrix QuantumState.  A KetEnsemble gives
+    the ensemble Phi of the kept factor, rho = Phi Phi^dag: its kets with the
+    kept axis moved first, one column per index of the other factors.
+    """
     axis = state.layout.axis(keep)
     dims = state.layout.dims
     dk = dims[axis]
+    kept = SpaceLayout.single(keep, dk)
+    if isinstance(state, KetEnsemble):
+        kets = state.kets.reshape(dims + (-1,))
+        return KetEnsemble(kept, np.moveaxis(kets, axis, 0).reshape(dk, -1))
     if state.is_vector:
-        psi = state.data.reshape(dims)
-        psi = np.moveaxis(psi, axis, 0).reshape(dk, -1)
+        psi = partial_trace(KetEnsemble.from_state(state), keep).kets
         rho = psi @ psi.conj().T
     else:
         nfac = len(dims)
@@ -296,5 +356,4 @@ def partial_trace(state: QuantumState, keep: str) -> QuantumState:
         idx_bra = [i + nfac if i == axis else i for i in idx_bra]
         rho = np.einsum(rho_t, idx_ket + idx_bra, [axis, axis + nfac])
     rho = 0.5 * (rho + rho.conj().T)
-    return QuantumState(SpaceLayout.single(keep, dk), rho,
-                        trace_atol=max(state.trace_atol, TRACE_ATOL))
+    return QuantumState(kept, rho, trace_atol=max(state.trace_atol, TRACE_ATOL))

@@ -11,15 +11,13 @@ with a = (x + i p)/sqrt(2), normalized as integral W dx dp = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 import math
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ShellRemovalError, StateError
-from .hilbert import QuantumState
+from .hilbert import KetEnsemble, QuantumState
 
 EIGENVALUE_FLOOR = 1e-14
 COHERENCE_FLOOR = -1e-10
@@ -29,12 +27,49 @@ SHELL_LEAKAGE_ATOL = 1e-4
 
 
 def _as_density(rho) -> np.ndarray:
-    if isinstance(rho, QuantumState):
+    if isinstance(rho, (QuantumState, KetEnsemble)):
         return rho.density()
     rho = np.asarray(rho, complex)
     if rho.ndim == 1:
         return np.outer(rho, rho.conj())
     return rho
+
+
+def _spectrum(rho) -> np.ndarray:
+    """Eigenvalues of rho.  A KetEnsemble Phi (N, M) takes the smaller of its
+    Gram matrices Phi^dag Phi and Phi Phi^dag, which share the nonzero ones."""
+    if isinstance(rho, KetEnsemble):
+        phi = rho.kets
+        gram = phi.conj().T @ phi if phi.shape[1] < phi.shape[0] else phi @ phi.conj().T
+        lam = np.linalg.eigvalsh(gram)
+    else:
+        lam = np.linalg.eigvalsh(_as_density(rho))
+    if lam[0] < -1e-6:
+        raise StateError(f"density matrix has eigenvalue {lam[0]:.3e}")
+    return lam
+
+
+def _populations(rho) -> np.ndarray:
+    """Fock populations: the main diagonal of rho."""
+    if isinstance(rho, KetEnsemble):
+        return (rho.kets.real ** 2 + rho.kets.imag ** 2).sum(axis=1)
+    return np.real(np.diagonal(_as_density(rho)))
+
+
+def _ladder_moments(rho) -> tuple[np.ndarray, complex, complex]:
+    """Fock populations, <b> and <b^2>, read from the main, first and second
+    lower diagonals of rho: O(N M) sums for a KetEnsemble Phi (N, M)."""
+    if isinstance(rho, KetEnsemble):
+        phi = rho.kets
+        low1 = np.einsum("nm,nm->n", phi[1:], phi[:-1].conj())    # rho_{n+1,n}
+        low2 = np.einsum("nm,nm->n", phi[2:], phi[:-2].conj())    # rho_{n+2,n}
+    else:
+        rho = _as_density(rho)
+        low1 = np.diagonal(rho, -1)
+        low2 = np.diagonal(rho, -2)
+    n = np.arange(1.0, len(low1) + 1)
+    return (_populations(rho), complex(np.sqrt(n) @ low1),
+            complex(np.sqrt(n[:-1] * n[1:]) @ low2))
 
 
 # ---------------------------------------------------------------------------
@@ -47,21 +82,12 @@ def _entropy_of(probs: np.ndarray) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """-sum(lam ln lam) over eigenvalues above the clipping floor."""
-    rho = _as_density(rho)
-    lam = np.linalg.eigvalsh(rho)
-    if lam[0] < -1e-6:
-        raise StateError(f"density matrix has eigenvalue {lam[0]:.3e}")
-    return _entropy_of(lam)
-
-
-def diagonal_entropy(rho) -> float:
-    return _entropy_of(np.real(np.diagonal(_as_density(rho))))
+    return _entropy_of(_spectrum(rho))
 
 
 def coherence(rho) -> float:
     """Relative entropy of coherence in the Fock basis: S(diag) - S(rho)."""
-    rho = _as_density(rho)
-    value = diagonal_entropy(rho) - von_neumann_entropy(rho)
+    value = _entropy_of(_populations(rho)) - von_neumann_entropy(rho)
     if value < COHERENCE_FLOOR:
         raise StateError(f"coherence {value!r} below the numerical floor")
     return max(value, 0.0)
@@ -70,48 +96,39 @@ def coherence(rho) -> float:
 # ---------------------------------------------------------------------------
 # moments
 
-class _Quadratures(NamedTuple):
-    b: np.ndarray
-    x: np.ndarray
-    p: np.ndarray
-    xx: np.ndarray
-    pp: np.ndarray
-    xp_sym: np.ndarray           # X P + P X
-
-
-@lru_cache(maxsize=32)
-def _quadrature_matrices(dim: int) -> _Quadratures:
-    b = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
-    x = (b + b.conj().T) / math.sqrt(2.0)
-    p = 1j * (b.conj().T - b) / math.sqrt(2.0)
-    return _Quadratures(b, x, p, x @ x, p @ p, x @ p + p @ x)
-
-
-def _expval(rho: np.ndarray, op: np.ndarray) -> complex:
-    return complex(np.einsum("ij,ji->", rho, op))
-
-
-def excitation_stats(rho) -> tuple[float, float]:
-    """Mean and standard deviation of the excitation number."""
-    rho = _as_density(rho)
-    pops = np.real(np.diagonal(rho))
+def _number_stats(pops: np.ndarray) -> tuple[float, float]:
     n = np.arange(len(pops), dtype=float)
     mean = float(n @ pops)
     var = float((n * n) @ pops) - mean ** 2
     return mean, math.sqrt(max(var, 0.0))
 
 
+def _quadratures(pops: np.ndarray, mean_b: complex,
+                 mean_b2: complex) -> tuple[np.ndarray, np.ndarray]:
+    """(<X>, <P>) and the covariance from <b>, <b^2> and the populations.
+
+    X^2 and P^2 hold (b^dag b + b b^dag)/2 with the truncated b b^dag =
+    diag(1, ..., N-1, 0), as the products of the truncated X and P give it;
+    XP + PX = i(b^dag^2 - b^2) has no such term.
+    """
+    n = np.arange(len(pops), dtype=float)
+    sym = 0.5 * (float(n @ pops) + float(n[1:] @ pops[:-1]))
+    mx = math.sqrt(2.0) * mean_b.real
+    mp = math.sqrt(2.0) * mean_b.imag
+    xx = sym + mean_b2.real - mx * mx
+    pp = sym - mean_b2.real - mp * mp
+    xp = mean_b2.imag - mx * mp
+    return np.array([mx, mp]), np.array([[xx, xp], [xp, pp]])
+
+
+def excitation_stats(rho) -> tuple[float, float]:
+    """Mean and standard deviation of the excitation number."""
+    return _number_stats(_populations(rho))
+
+
 def quadrature_stats(rho) -> tuple[np.ndarray, np.ndarray]:
     """First moments (<X>, <P>) and the symmetrized 2x2 covariance matrix."""
-    rho = _as_density(rho)
-    dim = rho.shape[0]
-    q = _quadrature_matrices(dim)
-    mx = _expval(rho, q.x).real
-    mp = _expval(rho, q.p).real
-    xx = _expval(rho, q.xx).real - mx * mx
-    pp = _expval(rho, q.pp).real - mp * mp
-    xp = 0.5 * _expval(rho, q.xp_sym).real - mx * mp
-    return np.array([mx, mp]), np.array([[xx, xp], [xp, pp]])
+    return _quadratures(*_ladder_moments(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +152,7 @@ def remove_gaussian_shell(rho, max_rounds: int = 8,
     """
     rho = _as_density(rho).copy()
     dim = rho.shape[0]
-    b = _quadrature_matrices(dim).b
+    b = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
 
     def residuals(r):
         means, cov = quadrature_stats(r)
@@ -149,7 +166,7 @@ def remove_gaussian_shell(rho, max_rounds: int = 8,
         if max(res.values()) < residual_atol:
             return rho
         # displacement D(-<b>)
-        amp = -_expval(rho, b)
+        amp = -_ladder_moments(rho)[1]
         d = _mode_expm(amp * b.conj().T - np.conj(amp) * b)
         rho = d @ rho @ d.conj().T
         # rotation zeroing the covariance off-diagonal
@@ -355,15 +372,13 @@ class DiagnosticsRecord:
 
 
 def diagnose(rho_osc, leakage: float = 0.0) -> DiagnosticsRecord:
-    """Full diagnostics bundle for an oscillator density matrix."""
-    rho = _as_density(rho_osc)
-    lam = np.linalg.eigvalsh(rho)
-    if lam[0] < -1e-6:
-        raise StateError(f"density matrix has eigenvalue {lam[0]:.3e}")
-    entropy = _entropy_of(lam)
-    coh = max(_entropy_of(np.real(np.diagonal(rho))) - entropy, 0.0)
-    mean_n, std_n = excitation_stats(rho)
-    means, cov = quadrature_stats(rho)
+    """Full diagnostics bundle for an oscillator state: a density matrix or,
+    without ever forming rho, a KetEnsemble."""
+    entropy = _entropy_of(_spectrum(rho_osc))
+    pops, mean_b, mean_b2 = _ladder_moments(rho_osc)
+    coh = max(_entropy_of(pops) - entropy, 0.0)
+    mean_n, std_n = _number_stats(pops)
+    means, cov = _quadratures(pops, mean_b, mean_b2)
     return DiagnosticsRecord(
         coherence=coh, entropy=entropy, mean_n=mean_n, std_n=std_n,
         mean_x=float(means[0]), mean_p=float(means[1]),

@@ -21,7 +21,7 @@ def write_tree(root: pathlib.Path, values: np.ndarray, summary: str) -> pathlib.
     return root
 
 
-def test_agreement_and_each_kind_of_difference(tmp_path):
+def test_agreement_and_each_kind_of_difference(tmp_path, capsys):
     values = np.arange(9.0).reshape(3, 3) / 10
     a = write_tree(tmp_path / "a", values, '{"c": 1}')
     assert compare_outputs.compare(a, write_tree(tmp_path / "b", values, '{"c": 1}'), 1e-12)
@@ -33,3 +33,9 @@ def test_agreement_and_each_kind_of_difference(tmp_path):
     assert not compare_outputs.compare(a, write_tree(tmp_path / "d", values, '{"c": 2}'), 1e-12)
     (tmp_path / "d" / "summary.json").unlink()
     assert not compare_outputs.compare(a, tmp_path / "d", 1e-12)
+    # a numeric difference in other text is reported, and still fails
+    capsys.readouterr()
+    e = write_tree(tmp_path / "e", values, '{"c": 1.5e-3}')
+    assert not compare_outputs.compare(e, write_tree(tmp_path / "f", values, '{"c": 1.25e-3}'),
+                                       1e-12)
+    assert "summary.json bytes differ, max|d|=2.500e-04" in capsys.readouterr().out

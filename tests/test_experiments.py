@@ -209,6 +209,17 @@ class TestSweeps:
         c0, c5 = (p.max_coherence for p in result.points)
         assert c5 < c0
 
+    def test_admixture_sweep_files_independent_of_jobs(self, tmp_path):
+        # the points share one cached propagator; thread order must not matter
+        cfg = tiny_config(cutoff=40, n=5, points=30, tau_max=TWO_PI)
+        for jobs in (1, 2):
+            experiments.clear_propagator_cache()
+            admixture_sweep(cfg, [0.1, 0.4, 0.7], jobs=jobs,
+                            output_dir=str(tmp_path / f"jobs{jobs}"))
+        for name in ("admixture_summary.json", "admixture_points.csv"):
+            assert (tmp_path / "jobs1" / name).read_bytes() == \
+                (tmp_path / "jobs2" / name).read_bytes(), name
+
     def test_completed_model_passivity_and_comparison(self):
         cfg = ScenarioConfig(
             name="pump",

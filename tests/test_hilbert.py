@@ -175,6 +175,19 @@ class TestValidation:
         with pytest.raises(StateError):
             Operator(lay, np.array([[0, 1], [0, 0]], complex), hermitian=True)
 
+    def test_hermitian_check_reaches_the_far_corner(self, rng):
+        # the check runs over row blocks; the last block must count as well
+        dim = 700
+        lay = SpaceLayout.single("a", dim)
+        a = rng.normal(size=(dim, dim))
+        a = a + a.T
+        a[dim - 1, 0] += 2e-12
+        with pytest.raises(StateError):
+            Operator(lay, a.astype(complex), hermitian=True)
+        assert not Operator.create(lay, a).hermitian
+        a[dim - 1, 0] -= 2e-12
+        assert Operator.create(lay, a).hermitian
+
     def test_vector_norm_enforced(self):
         lay = SpaceLayout.single("a", 2)
         with pytest.raises(StateError):

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+import scipy.linalg
 from scipy.integrate import quad
 
 from cohabs.errors import ShellRemovalError, StateError
+from cohabs.evolution import HamiltonianPropagator, top_level_population
+from cohabs.hilbert import KetEnsemble, QuantumState, basis_state, partial_trace
+from cohabs.models import Interaction, ModelSpec, build_hamiltonian
 from cohabs.observables import (WignerGridSpec,
                                 coherence, diagnose, excitation_stats,
                                 load_wigner_text, negativity_volume,
@@ -337,3 +341,87 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,p,W"
         assert len(lines) == 1 + 11 * 11
+
+
+class TestEnsembleDiagnostics:
+    """Diagnostics read from a ket ensemble's factor Phi (Gram spectrum and
+    diagonal sums) against dense density matrices propagated by expm."""
+
+    FIELDS = ("coherence", "entropy", "mean_n", "std_n", "mean_x", "mean_p",
+              "cov_xx", "cov_pp", "cov_xp", "leakage")
+
+    @staticmethod
+    def dense_record(rho, leakage):
+        # the dense reference: eigvalsh of rho and traces against the products
+        # of the truncated X and P matrices
+        dim = rho.shape[0]
+        b = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+        x = (b + b.T) / math.sqrt(2.0)
+        p = 1j * (b.T - b) / math.sqrt(2.0)
+
+        def ev(op):
+            return np.einsum("ij,ji->", rho, op).real
+
+        lam = np.linalg.eigvalsh(rho)
+        lam = lam[lam > 1e-14]
+        pops = np.real(np.diagonal(rho))
+        nz = pops[pops > 1e-14]
+        entropy = float(-(lam * np.log(lam)).sum())
+        n = np.arange(dim)
+        mean_n = float(n @ pops)
+        mx, mp = ev(x), ev(p)
+        return dict(
+            coherence=max(float(-(nz * np.log(nz)).sum()) - entropy, 0.0),
+            entropy=entropy, mean_n=mean_n,
+            std_n=math.sqrt(max(float((n * n) @ pops) - mean_n ** 2, 0.0)),
+            mean_x=mx, mean_p=mp,
+            cov_xx=ev(x @ x) - mx * mx, cov_pp=ev(p @ p) - mp * mp,
+            cov_xp=0.5 * ev(x @ p + p @ x) - mx * mp, leakage=leakage)
+
+    @staticmethod
+    def initial_state(layout, kind, rng):
+        dim = layout.total_dim
+        osc = layout.axis("osc")
+        cutoff = layout.dims[osc]
+        if kind == "pure":
+            return QuantumState(layout, random_ket(rng, dim))
+        pops = np.zeros(layout.dims)
+        index = [0] * len(layout.dims)
+        if kind == "admixture":
+            levels = [0, int(rng.integers(1, cutoff))]
+        else:       # every Fock level, the top one included: M >= N
+            levels = range(cutoff)
+        for level in levels:
+            index[osc] = level
+            pops[tuple(index)] = rng.random() + 0.05
+        return QuantumState(layout, np.diag(pops.ravel() / pops.sum()).astype(complex))
+
+    @pytest.mark.parametrize("pumped", [False, True])
+    @pytest.mark.parametrize("kind", ["pure", "admixture", "diagonal"])
+    @given(seed=st.integers(0, 2**32 - 1), t=st.sampled_from([0.0, 0.37, 2.9]))
+    def test_matches_dense_propagation(self, kind, pumped, seed, t):
+        rng = np.random.default_rng(seed)
+        spec = ModelSpec(interactions=(Interaction(1, 1.0), Interaction(2, 0.3)),
+                         cutoff=7, omega=0.2, Omega=0.1,
+                         pump=0.8 + 0.3j if pumped else None,
+                         pump_dim=4 if pumped else None)
+        h = build_hamiltonian(spec)
+        state0 = self.initial_state(spec.layout(), kind, rng)
+        prop = HamiltonianPropagator(h)
+        ens = prop.state_at(prop.expand(KetEnsemble.from_state(state0)), t)
+        got = diagnose(partial_trace(ens, "osc"), top_level_population(ens))
+        u = scipy.linalg.expm(-1j * t * h.entries)
+        dense = QuantumState(spec.layout(), u @ state0.density() @ u.conj().T)
+        want = self.dense_record(partial_trace(dense, "osc").data,
+                                 top_level_population(dense))
+        for field in self.FIELDS:
+            assert getattr(got, field) == pytest.approx(want[field], abs=1e-12), field
+
+    def test_fock_input_has_exactly_zero_spread_at_zero_time(self):
+        spec = ModelSpec(interactions=(Interaction(1, 1.0), Interaction(2, 0.1)),
+                         cutoff=40)
+        prop = HamiltonianPropagator(build_hamiltonian(spec))
+        psi0 = basis_state(spec.layout(), {"osc": 7})
+        ens = prop.state_at(prop.expand(KetEnsemble.from_state(psi0)), 0.0)
+        rec = diagnose(partial_trace(ens, "osc"))
+        assert (rec.mean_n, rec.std_n, rec.coherence) == (7.0, 0.0, 0.0)
