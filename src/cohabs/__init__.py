@@ -18,8 +18,7 @@ from .observables import (DiagnosticsRecord, WignerGrid, WignerGridSpec, coheren
                           diagnose, excitation_stats, negativity_volume,
                           quadrature_stats, radial_asymmetry, remove_gaussian_shell,
                           von_neumann_entropy, wigner, wigner_values)
-from .experiments import (ScenarioConfig, SweepResult, coherence_landscape,
-                          completed_model_run, load_config, max_coherence_vs_n,
-                          robustness_suite, run_scenario, weak_coupling_scan)
+from .experiments import (ScenarioConfig, SweepResult, load_config, robustness_suite,
+                          run_scenario, sweep)
 
 __version__ = "0.1.0"

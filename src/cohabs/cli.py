@@ -40,11 +40,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name, doc in (
         ("evolve", "continuous evolution of one scenario"),
         ("switch", "piecewise interaction switching"),
-        ("sweep", "scenario run with optional sweep axes (n or omega/Omega)"),
+        ("sweep", "scenario run, or a sweep over the config's sweep axes"),
         ("wigner", "Wigner grid of the configured state"),
         ("robustness", "input-state and environment variants"),
-        ("completed", "pumped three-mode completion versus the two-body model"),
-        ("landscape", "coherence over initial occupation and coupling ratio"),
+        ("completed", "sweep: pumped three-mode completion versus the two-body model"),
+        ("landscape", "sweep: coherence over initial occupation and coupling ratio"),
     ):
         _add_common(sub.add_parser(name, help=doc))
     return parser
@@ -72,42 +72,10 @@ def _cmd_scenario(config: ScenarioConfig, args) -> dict:
 
 
 def _cmd_sweep(config: ScenarioConfig, args) -> dict:
-    axes = config.sweep
-    out = _resolve_output(config, args)
-    if "n" in axes:
-        result = experiments.max_coherence_vs_n(config, axes["n"], jobs=args.jobs,
-                                                output_dir=out)
-        return result.summary()
-    if "omega" in axes and "Omega" in axes:
-        result = experiments.weak_coupling_scan(config, axes["omega"], axes["Omega"],
-                                                jobs=args.jobs, output_dir=out)
-        return result.summary()
-    if "p" in axes:
-        result = experiments.admixture_sweep(config, axes["p"], jobs=args.jobs,
-                                             output_dir=out)
-        return result.summary()
-    if axes:
-        raise ConfigError(f"sweep supports axes n, p, or omega+Omega, got {sorted(axes)}")
-    return _cmd_scenario(config, args)
-
-
-def _cmd_landscape(config: ScenarioConfig, args) -> dict:
-    axes = config.sweep
-    if "n" not in axes or "G" not in axes:
-        raise ConfigError("landscape needs sweep axes n and G")
-    result = experiments.coherence_landscape(config, axes["n"], axes["G"],
-                                             jobs=args.jobs,
-                                             output_dir=_resolve_output(config, args))
-    return result.summary()
-
-
-def _cmd_completed(config: ScenarioConfig, args) -> dict:
-    betas = config.sweep.get("beta")
-    if not betas:
-        raise ConfigError("completed needs a sweep axis beta")
-    result = experiments.completed_model_run(config, betas, jobs=args.jobs,
-                                             output_dir=_resolve_output(config, args))
-    return result.summary()
+    if not config.sweep:
+        return _cmd_scenario(config, args)
+    return experiments.sweep(config, jobs=args.jobs,
+                             output_dir=_resolve_output(config, args)).summary()
 
 
 def _cmd_robustness(config: ScenarioConfig, args) -> dict:
@@ -142,8 +110,8 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "wigner": _cmd_wigner,
     "robustness": _cmd_robustness,
-    "completed": _cmd_completed,
-    "landscape": _cmd_landscape,
+    "completed": _cmd_sweep,
+    "landscape": _cmd_sweep,
 }
 
 

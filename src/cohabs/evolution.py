@@ -347,6 +347,10 @@ def lindblad_evolve(hamiltonian: Operator, jump_ops, rho0: QuantumState, times,
     times = np.asarray(list(times), float)
     if len(times) and times[0] < 0:
         raise StateError(f"output times must be >= 0, got {times[0]}")
+    back = np.flatnonzero(np.diff(times) < 0)
+    if len(back):
+        raise StateError(f"output times must not decrease: {times[back[0] + 1]} "
+                         f"follows {times[back[0]]}")
     step = _StrangStep(hamiltonian, list(jump_ops))
     rho_start = rho0.density().astype(complex)
     sigma = step.to_eigen(rho_start)

@@ -14,13 +14,15 @@ coupling.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 import hashlib
+import itertools
 import json
 import math
 import os
-import threading
 
 import numpy as np
 
@@ -63,6 +65,8 @@ class ScheduleSpec:
             raise ConfigError("switch segments need strictly positive durations")
         if self.points < 1:
             raise ConfigError("schedule needs at least one point")
+        if not (math.isfinite(self.tau_max) and self.tau_max >= 0):
+            raise ConfigError(f"schedule tau_max must be finite and >= 0, got {self.tau_max}")
 
     def to_dict(self) -> dict:
         if self.kind == "switch":
@@ -90,6 +94,11 @@ class DiagnosticsFlags:
     wigner: bool = False
     shell_removal: bool = False
     wigner_points: int = 201
+
+    def __post_init__(self):
+        if self.wigner_points < 2:
+            raise ConfigError(f"a Wigner grid needs at least 2 points per axis, "
+                              f"got {self.wigner_points}")
 
     def to_dict(self) -> dict:
         return {"wigner": self.wigner, "shell_removal": self.shell_removal,
@@ -120,6 +129,10 @@ class ScenarioConfig:
         for axis, vals in self.sweep.items():
             if not isinstance(vals, (list, tuple)) or len(vals) == 0:
                 raise ConfigError(f"sweep axis {axis!r} must be a non-empty list")
+        if self.sweep and frozenset(self.sweep) not in _SWEEP_KINDS:
+            accepted = "; ".join(" + ".join(_ordered(axes)) for axes in _SWEEP_KINDS)
+            raise ConfigError(f"sweep axes {sorted(self.sweep)} are not one of the "
+                              f"accepted sets: {accepted}")
 
     def ladder(self) -> tuple[int, ...]:
         return self.cutoff_ladder or (self.model.cutoff,)
@@ -193,41 +206,6 @@ def load_config(path) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# propagator cache (eigendecompositions shared across sweep points)
-
-_CACHE_LOCK = threading.Lock()
-_PROPAGATORS: dict[str, HamiltonianPropagator] = {}
-_BUILDING: dict[str, threading.Lock] = {}     # per-model lock held while one thread builds
-_CACHE_CAP = 12
-
-
-def _propagator_for(model: ModelSpec) -> HamiltonianPropagator:
-    key = json.dumps(model.to_dict(), sort_keys=True)
-    with _CACHE_LOCK:
-        if key in _PROPAGATORS:
-            return _PROPAGATORS[key]
-        building = _BUILDING.setdefault(key, threading.Lock())
-    with building:
-        with _CACHE_LOCK:
-            if key in _PROPAGATORS:
-                return _PROPAGATORS[key]
-        prop = HamiltonianPropagator(models.build_hamiltonian(model))
-        with _CACHE_LOCK:
-            _BUILDING.pop(key, None)
-            if model.layout().total_dim > 1024:      # very large one-off decompositions
-                return prop
-            if len(_PROPAGATORS) >= _CACHE_CAP:
-                _PROPAGATORS.pop(next(iter(_PROPAGATORS)))
-            _PROPAGATORS[key] = prop
-    return prop
-
-
-def clear_propagator_cache() -> None:
-    with _CACHE_LOCK:
-        _PROPAGATORS.clear()
-
-
-# ---------------------------------------------------------------------------
 # single-point runs
 
 @dataclass
@@ -265,12 +243,19 @@ class PointRun:
         return out
 
 
-def _evolve(config: ScenarioConfig, cutoff: int, taus, observe):
+def _propagator(model: ModelSpec) -> HamiltonianPropagator:
+    return HamiltonianPropagator(models.build_hamiltonian(model))
+
+
+def _evolve(config: ScenarioConfig, cutoff: int, taus, observe,
+            propagators: dict[int, HamiltonianPropagator]):
     """Evolve the configured initial state at one cutoff and call
     observe(t, state) at each raw time: the increasing scaled times `taus`
     over the tau scale, or the schedule's own points when taus is None.  A
     switch schedule has only its segment boundaries and accepts no `taus`.
     Unitary runs pass KetEnsembles, dephased runs density-matrix states.
+    A unitary run takes its propagator from `propagators` (the caller's
+    {cutoff: propagator}), building and adding it when missing.
     Returns (taus, raw times)."""
     sched = config.schedule
     if sched.kind == "switch" and taus is not None:
@@ -295,22 +280,27 @@ def _evolve(config: ScenarioConfig, cutoff: int, taus, observe):
         lindblad_evolve(models.build_hamiltonian(model), jumps, state0, times,
                         tol=config.lindblad_tol, observer=observe, store_states=False)
     else:
-        prop = _propagator_for(model)
+        prop = propagators.get(cutoff)
+        if prop is None:
+            prop = propagators[cutoff] = _propagator(model)
         initial = prop.expand(KetEnsemble.from_state(state0))
         for t in times:
             observe(t, prop.state_at(initial, float(t)))
     return taus, times
 
 
-def oscillator_states(config: ScenarioConfig, taus, cutoff: int | None = None) -> list:
+def oscillator_states(config: ScenarioConfig, taus, cutoff: int | None = None,
+                      propagators: dict | None = None) -> list:
     """Reduced oscillator states at the scaled times `taus`, at the top ladder
     cutoff unless `cutoff` is given; continuous schedules only.  Unitary runs
     give ket ensembles (rho = Phi Phi^dag), dephased runs density matrices;
-    every function in `observables` takes either."""
+    every function in `observables` takes either.  `propagators` is the
+    run's {cutoff: propagator}, so snapshots reuse the series' propagator."""
     grid = sorted({float(tau) for tau in taus})
     rhos = []
     _evolve(config, config.ladder()[-1] if cutoff is None else cutoff, grid,
-            lambda _t, state: rhos.append(partial_trace(state, OSC_LABEL)))
+            lambda _t, state: rhos.append(partial_trace(state, OSC_LABEL)),
+            {} if propagators is None else propagators)
     lookup = dict(zip(grid, rhos))
     return [lookup[float(tau)] for tau in taus]
 
@@ -335,14 +325,18 @@ def _headline(taus, records) -> tuple[float, float, float, float]:
     return float(cs[i_max]), float(taus[i_max]), float(cs[i_half]), float(taus[i_half])
 
 
-def run_point(config: ScenarioConfig, coords: dict | None = None) -> PointRun:
-    """Run the scenario over its cutoff ladder; series kept for the top cutoff."""
-    ladder = config.ladder()
+def run_point(config: ScenarioConfig, coords: dict | None = None,
+              propagators: dict | None = None) -> PointRun:
+    """Run the scenario over its cutoff ladder; series kept for the top cutoff.
+    `propagators` ({cutoff: propagator}) supplies and collects the run's
+    propagators."""
+    propagators = {} if propagators is None else propagators
     max_by_cutoff = []
-    for cutoff in ladder:
+    for cutoff in config.ladder():
         records: list[DiagnosticsRecord] = []
         taus, times = _evolve(config, cutoff, None, lambda _t, state: records.append(
-            diagnose(partial_trace(state, OSC_LABEL), top_level_population(state))))
+            diagnose(partial_trace(state, OSC_LABEL), top_level_population(state))),
+            propagators)
         max_by_cutoff.append(max((r.coherence for r in records), default=0.0))
     shift = (abs(max_by_cutoff[-1] - max_by_cutoff[-2])
              if len(max_by_cutoff) >= 2 else 0.0)
@@ -375,12 +369,13 @@ def _write_series_csv(path, taus, times, records) -> None:
             fh.write(f"{tau:.12g},{t:.12g}," + rec.csv_row() + "\n")
 
 
-def _diag_extras(config: ScenarioConfig, run: PointRun,
-                 outdir: str | None) -> dict:
+def _diag_extras(config: ScenarioConfig, run: PointRun, outdir: str | None,
+                 propagators: dict) -> dict:
     """Wigner grids and shell removal at the max and half-max times; grid
     files are written only when an output directory is given."""
     info: dict = {}
-    snap = oscillator_states(config, [run.tau_at_half, run.tau_at_max])
+    snap = oscillator_states(config, [run.tau_at_half, run.tau_at_max],
+                             propagators=propagators)
     for label, rho in zip(["half", "max"], snap):
         if config.diagnostics.wigner:
             grid_spec, grid, negativity = wigner_snapshot(rho, config.diagnostics.wigner_points)
@@ -401,11 +396,12 @@ def _diag_extras(config: ScenarioConfig, run: PointRun,
 
 def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> PointRun:
     """Full single-scenario run with optional persisted artifacts."""
-    run = run_point(config)
+    propagators: dict[int, HamiltonianPropagator] = {}
+    run = run_point(config, propagators=propagators)
     outdir = _ensure_dir(output_dir) if output_dir else None
     needs_states = config.diagnostics.wigner or config.diagnostics.shell_removal
     if needs_states and config.schedule.kind == "continuous":
-        run.extras.update(_diag_extras(config, run, outdir))
+        run.extras.update(_diag_extras(config, run, outdir, propagators))
     if outdir:
         _write_json(os.path.join(outdir, "config.json"),
                     {**config.to_dict(), "config_hash": config.hash(),
@@ -447,107 +443,73 @@ def _parallel(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def _finish_sweep(axes: dict, runs: list[PointRun],
-                  output_dir: str | None, name: str) -> SweepResult:
-    best = max(range(len(runs)), key=lambda i: runs[i].max_coherence)
-    result = SweepResult(
-        axes=axes,
-        points=runs,
-        argmax={**runs[best].coords,
-                "max_coherence": runs[best].max_coherence,
-                "tau_at_max": runs[best].tau_at_max},
-        convergence=[{**r.coords, "shift": r.convergence_shift, "converged": r.converged}
-                     for r in runs],
-    )
-    if output_dir:
-        outdir = _ensure_dir(output_dir)
-        _write_json(os.path.join(outdir, f"{name}_summary.json"), result.summary())
-        with open(os.path.join(outdir, f"{name}_points.csv"), "w") as fh:
-            cols = sorted({k for r in runs for k in r.coords})
-            fh.write(",".join(cols) + ",max_coherence,tau_at_max,convergence_shift\n")
-            for r in runs:
-                coord = ",".join(f"{r.coords.get(c, '')}" for c in cols)
-                fh.write(f"{coord},{r.max_coherence:.12g},{r.tau_at_max:.12g},"
-                         f"{r.convergence_shift:.12g}\n")
-    return result
+def _unitary_models(config: ScenarioConfig) -> list[ModelSpec]:
+    """One model per distinct Hamiltonian at each ladder cutoff of a run
+    that propagates through an eigendecomposition (dephased and switch runs
+    build no propagator).  The pump amplitude enters only the initial state,
+    so it is replaced by the pump dimension it sets."""
+    if config.model.dephasing_rate > 0 or config.schedule.kind == "switch":
+        return []
+    model = config.model
+    if model.has_pump:
+        model = replace(model, pump=0j, pump_dim=model.effective_pump_dim())
+    return [replace(model, cutoff=c) for c in config.ladder()]
 
 
-def _with_initial_n(config: ScenarioConfig, n: int) -> ScenarioConfig:
-    return replace(config, initial=replace(config.initial, n=int(n)))
+class _SharedPropagators:
+    """Propagators of the Hamiltonians that two or more runs of one batch
+    use, built once, up front and in parallel.  Runs only read them; every
+    other propagator is built by, and freed with, the run that uses it."""
+
+    def __init__(self, configs, jobs: int):
+        uses = Counter(m for cfg in configs for m in _unitary_models(cfg))
+        shared = [m for m, count in uses.items() if count >= 2]
+        self._by_model = dict(zip(shared, _parallel(_propagator, shared, jobs)))
+
+    def for_run(self, config: ScenarioConfig) -> dict[int, HamiltonianPropagator]:
+        """A new {cutoff: propagator} dict for one run, holding its shared ones."""
+        return {m.cutoff: self._by_model[m] for m in _unitary_models(config)
+                if m in self._by_model}
 
 
-def _with_ratio(config: ScenarioConfig, ratio: float) -> ScenarioConfig:
-    g1 = config.model.coupling(1)
-    inter = tuple(Interaction(it.order, g1 * ratio if it.order != 1 else g1)
-                  for it in config.model.interactions)
-    return replace(config, model=replace(config.model, interactions=inter))
+def _model(config: ScenarioConfig, **changes) -> ScenarioConfig:
+    return replace(config, model=replace(config.model, **changes))
 
 
-def max_coherence_vs_n(config: ScenarioConfig, n_list, jobs: int = 1,
-                       output_dir: str | None = None) -> SweepResult:
-    """Per-n maximum coherence over the schedule window, with the
-    Gaussian-shell-removed value at the argmax time when enabled."""
-
-    def one(n: int) -> PointRun:
-        cfg = _with_initial_n(config, n)
-        run = run_point(cfg, coords={"n": int(n)})
-        if config.diagnostics.shell_removal and n > 0:
-            rho, = oscillator_states(cfg, [run.tau_at_max])
-            shelled = observables.remove_gaussian_shell(rho)
-            run.extras["shell_removed_coherence"] = observables.coherence(shelled)
-        return run
-
-    runs = _parallel(one, list(n_list), jobs)
-    return _finish_sweep({"n": list(n_list)}, runs, output_dir, "bars")
+def _admixture(config: ScenarioConfig, p) -> ScenarioConfig:
+    """Ground-state admixture of weight p at the configured occupation."""
+    return replace(config, initial=InitialStateSpec("admixture", n=config.initial.n,
+                                                    p=float(p)))
 
 
-def admixture_sweep(config: ScenarioConfig, p_list, jobs: int = 1,
-                    output_dir: str | None = None) -> SweepResult:
-    """Max coherence per ground-state admixture weight p at the configured
-    occupation, keeping every other parameter fixed."""
+# axis -> (its coordinate in the results, the config edit of one value).  The
+# order of this map is the order of a sweep's cartesian product (n before G,
+# omega before Omega); config documents sort their sweep keys.
+_AXES: dict[str, tuple[Callable, Callable]] = {
+    "n": (int, lambda cfg, n: replace(cfg, initial=replace(cfg.initial, n=int(n)))),
+    "p": (float, _admixture),
+    "G": (float, lambda cfg, ratio: _model(cfg, interactions=tuple(
+        Interaction(it.order, it.coupling if it.order == 1
+                    else cfg.model.coupling(1) * float(ratio))
+        for it in cfg.model.interactions))),
+    "omega": (float, lambda cfg, w: _model(cfg, omega=float(w))),
+    "Omega": (float, lambda cfg, w: _model(cfg, Omega=float(w))),
+    "beta": (lambda b: abs(complex(b)), lambda cfg, b: _model(cfg, pump=complex(b))),
+}
 
-    def one(p: float) -> PointRun:
-        cfg = replace(config,
-                      initial=InitialStateSpec("admixture", n=config.initial.n,
-                                               p=float(p)))
-        return run_point(cfg, coords={"p": float(p)})
 
-    runs = _parallel(one, [float(p) for p in p_list], jobs)
-    return _finish_sweep({"p": [float(p) for p in p_list]}, runs, output_dir,
-                         "admixture")
+def _ordered(axes) -> list[str]:
+    return [axis for axis in _AXES if axis in axes]
 
 
-def coherence_landscape(config: ScenarioConfig, n_list, ratio_list,
-                        jobs: int = 1, output_dir: str | None = None) -> SweepResult:
-    """Coherence traces per (n, G) plus the coherence at tau = pi, from which
-    the per-n argmax over G is read off."""
-
-    pairs = [(int(n), float(g)) for n in n_list for g in ratio_list]
-
-    def one(pair) -> PointRun:
-        n, ratio = pair
-        cfg = _with_ratio(_with_initial_n(config, n), ratio)
-        run = run_point(cfg, coords={"n": n, "G": ratio})
-        idx_pi = int(np.argmin(np.abs(run.taus - math.pi)))
-        run.extras["coherence_at_pi"] = run.records[idx_pi].coherence
-        run.extras["local_maxima"] = _count_local_maxima(
-            np.array([r.coherence for r in run.records]))
-        return run
-
-    runs = _parallel(one, pairs, jobs)
-    result = _finish_sweep({"n": list(n_list), "G": list(ratio_list)},
-                           runs, output_dir, "landscape")
-    by_n = {}
-    for r in runs:
-        by_n.setdefault(r.coords["n"], []).append(r)
-    argmax_g = {}
-    for n, rs in sorted(by_n.items()):
-        best = max(rs, key=lambda r: r.extras["coherence_at_pi"])
-        argmax_g[str(n)] = best.coords["G"]
-    result.argmax["ratio_argmax_at_pi"] = argmax_g
-    if output_dir:
-        _write_json(os.path.join(output_dir, "landscape_argmax_g.json"), argmax_g)
-    return result
+def _shell_removal_at_max(shared, cfg: ScenarioConfig, run: PointRun,
+                          propagators: dict) -> None:
+    """bars: the coherence left after Gaussian-shell removal at the
+    max-coherence time, for n > 0."""
+    if cfg.diagnostics.shell_removal and cfg.initial.n > 0:
+        rho, = oscillator_states(cfg, [run.tau_at_max], propagators=propagators)
+        run.extras["shell_removed_coherence"] = observables.coherence(
+            observables.remove_gaussian_shell(rho))
 
 
 def _count_local_maxima(values: np.ndarray, prominence: float = 0.01) -> int:
@@ -556,46 +518,158 @@ def _count_local_maxima(values: np.ndarray, prominence: float = 0.01) -> int:
     return int(len(peaks))
 
 
-def weak_coupling_scan(config: ScenarioConfig, omega_list, Omega_list,
-                       jobs: int = 1, output_dir: str | None = None) -> SweepResult:
-    """Max coherence per (omega, Omega), compared against the interaction-only
-    baseline at the same remaining parameters."""
-    baseline = run_point(
-        replace(config, model=replace(config.model, omega=0.0, Omega=0.0)),
-        coords={"omega": 0.0, "Omega": 0.0})
+def _ratio_argmax(shared, config: ScenarioConfig, runs: list[PointRun],
+                  output_dir: str | None) -> dict:
+    """landscape: each trace's coherence at tau = pi and its local maxima,
+    and per n the G whose coherence at tau = pi is largest."""
+    for run in runs:
+        idx_pi = int(np.argmin(np.abs(run.taus - math.pi)))
+        run.extras["coherence_at_pi"] = run.records[idx_pi].coherence
+        run.extras["local_maxima"] = _count_local_maxima(
+            np.array([r.coherence for r in run.records]))
+    argmax_g = {}
+    for n in sorted({r.coords["n"] for r in runs}):
+        best = max((r for r in runs if r.coords["n"] == n),
+                   key=lambda r: r.extras["coherence_at_pi"])
+        argmax_g[str(n)] = best.coords["G"]
+    if output_dir:
+        _write_json(os.path.join(_ensure_dir(output_dir), "landscape_argmax_g.json"),
+                    argmax_g)
+    return {"ratio_argmax_at_pi": argmax_g}
 
-    pairs = [(float(w), float(W)) for w in omega_list for W in Omega_list]
 
-    def one(pair) -> PointRun:
-        w, W = pair
-        cfg = replace(config, model=replace(config.model, omega=w, Omega=W))
-        run = run_point(cfg, coords={"omega": w, "Omega": W})
+def _interaction_only(config: ScenarioConfig) -> ScenarioConfig:
+    return _model(config, omega=0.0, Omega=0.0)
+
+
+def _against_baseline(shared, config: ScenarioConfig, runs: list[PointRun],
+                      output_dir: str | None) -> dict:
+    """weak scan: which (omega, Omega) beat the interaction-only run at the
+    same remaining parameters."""
+    baseline_cfg = _interaction_only(config)
+    baseline = run_point(baseline_cfg, propagators=shared.for_run(baseline_cfg))
+    for run in runs:
         run.extras["beats_interaction_only"] = bool(
             run.max_coherence > baseline.max_coherence)
+    return {"interaction_only_baseline": baseline.max_coherence,
+            "enhanced_points": [r.coords for r in runs
+                                if r.extras["beats_interaction_only"]]}
+
+
+def _effective(cfg: ScenarioConfig) -> ScenarioConfig | None:
+    """The two-body model at the pump-scaled linear coupling, for |beta| > 0."""
+    beta = abs(cfg.model.pump)
+    if beta == 0:
+        return None
+    return _model(cfg, pump=None, interactions=tuple(
+        Interaction(it.order, it.coupling * beta if it.order == 1 else it.coupling)
+        for it in cfg.model.interactions))
+
+
+def _effective_deviation(shared, cfg: ScenarioConfig, run: PointRun,
+                         propagators: dict) -> None:
+    """completed: the pumped trace against the effective two-body model's."""
+    eff_cfg = _effective(cfg)
+    if eff_cfg is None:
+        return
+    eff_run = run_point(eff_cfg, propagators=shared.for_run(eff_cfg))
+    eff = np.array([r.coherence for r in eff_run.records])
+    got = np.array([r.coherence for r in run.records])
+    run.extras["effective_max_coherence"] = float(eff.max())
+    run.extras["effective_trace_deviation"] = (
+        float(np.abs(got - eff).max() / eff.max()) if eff.max() > 0 else 0.0)
+
+
+@dataclass(frozen=True)
+class _SweepKind:
+    stem: str                        # <stem>_summary.json, <stem>_points.csv
+    point: Callable | None = None    # (shared, cfg, run, propagators), in the point's worker
+    finish: Callable | None = None   # (shared, config, runs, output_dir) -> argmax fields
+    companions: Callable = lambda config, cfgs: []   # the runs `point`/`finish` add
+
+
+_SWEEP_KINDS = {
+    frozenset({"n"}): _SweepKind("bars", point=_shell_removal_at_max),
+    frozenset({"p"}): _SweepKind("admixture"),
+    frozenset({"n", "G"}): _SweepKind("landscape", finish=_ratio_argmax),
+    frozenset({"omega", "Omega"}): _SweepKind(
+        "weak_scan", finish=_against_baseline,
+        companions=lambda config, cfgs: [_interaction_only(config)]),
+    frozenset({"beta"}): _SweepKind(
+        "completed", point=_effective_deviation,
+        companions=lambda config, cfgs: [e for e in map(_effective, cfgs) if e is not None]),
+}
+
+
+def sweep(config: ScenarioConfig, jobs: int = 1,
+          output_dir: str | None = None) -> SweepResult:
+    """Every point of the cartesian product of the `config.sweep` axes, with
+    that axis set's post-processing.  The set is one of: n (bars over the
+    initial occupation), p (ground-state admixture), n and G (coupling ratio
+    landscape), omega and Omega (free-motion scan against the
+    interaction-only baseline), beta (pumped completion against the two-body
+    model); `ScenarioConfig` rejects any other.  Each Hamiltonian that two
+    or more of the sweep's runs use is diagonalised once, up front."""
+    if not config.sweep:
+        raise ConfigError("the config has no sweep axes")
+    kind = _SWEEP_KINDS[frozenset(config.sweep)]
+    names = _ordered(config.sweep)
+    points = []
+    for values in itertools.product(*(config.sweep[axis] for axis in names)):
+        cfg = config
+        for axis, value in zip(names, values):
+            cfg = _AXES[axis][1](cfg, value)
+        points.append((cfg, {axis: _AXES[axis][0](v) for axis, v in zip(names, values)}))
+    cfgs = [cfg for cfg, _ in points]
+    shared = _SharedPropagators(cfgs + kind.companions(config, cfgs), jobs)
+
+    def one(point) -> PointRun:
+        cfg, coords = point
+        propagators = shared.for_run(cfg)
+        run = run_point(cfg, coords, propagators)
+        if kind.point is not None:
+            kind.point(shared, cfg, run, propagators)
         return run
 
-    runs = _parallel(one, pairs, jobs)
-    result = _finish_sweep({"omega": list(omega_list), "Omega": list(Omega_list)},
-                           runs, output_dir, "weak_scan")
-    result.argmax["interaction_only_baseline"] = baseline.max_coherence
-    result.argmax["enhanced_points"] = [
-        r.coords for r in runs if r.extras["beats_interaction_only"]]
+    runs = _parallel(one, points, jobs)
+    reported = kind.finish(shared, config, runs, output_dir) if kind.finish else {}
+    best = max(runs, key=lambda r: r.max_coherence)
+    result = SweepResult(
+        axes={axis: [_AXES[axis][0](v) for v in config.sweep[axis]] for axis in names},
+        points=runs,
+        argmax={**best.coords, "max_coherence": best.max_coherence,
+                "tau_at_max": best.tau_at_max},
+        convergence=[{**r.coords, "shift": r.convergence_shift, "converged": r.converged}
+                     for r in runs],
+    )
+    if output_dir:
+        outdir = _ensure_dir(output_dir)
+        _write_json(os.path.join(outdir, f"{kind.stem}_summary.json"), result.summary())
+        with open(os.path.join(outdir, f"{kind.stem}_points.csv"), "w") as fh:
+            cols = sorted(names)
+            fh.write(",".join(cols) + ",max_coherence,tau_at_max,convergence_shift\n")
+            for r in runs:
+                coord = ",".join(f"{r.coords[c]}" for c in cols)
+                fh.write(f"{coord},{r.max_coherence:.12g},{r.tau_at_max:.12g},"
+                         f"{r.convergence_shift:.12g}\n")
+    result.argmax.update(reported)      # printed, but not in <stem>_summary.json
     return result
 
 
 # ---------------------------------------------------------------------------
 # robustness suite
 
-def _variant_report(config: ScenarioConfig, neg_times: int = 0) -> dict:
+def _variant_report(config: ScenarioConfig, neg_times: int,
+                    propagators: dict) -> dict:
     """Headline numbers plus negativity volumes at the half-max and max times
     (and, when neg_times > 0, at that many later sample times)."""
-    run = run_point(config)
+    run = run_point(config, propagators=propagators)
     tau_samples = [run.tau_at_half, run.tau_at_max]
     if neg_times > 0:
         tail = np.linspace(run.tau_at_half, float(run.taus[-1]), neg_times)
         tau_samples = tau_samples + [float(v) for v in tail]
     negs = [wigner_snapshot(rho, config.diagnostics.wigner_points)[2]
-            for rho in oscillator_states(config, tau_samples)]
+            for rho in oscillator_states(config, tau_samples, propagators=propagators)]
     report = {
         "max_coherence": run.max_coherence,
         "tau_at_max": run.tau_at_max,
@@ -627,81 +701,31 @@ def robustness_suite(base: ScenarioConfig, jobs: int = 1,
     coherence of broad mixed inputs keeps creeping upward with cutoff, and
     the convergence flag reports that honestly.
     """
-    variants: dict[str, dict] = {}
+    rate = 0.1 * base.model.coupling(1)
+    variants = {        # name -> (config, negativity samples after the max)
+        "dephasing": (replace(_model(base, dephasing_rate=rate),
+                              cutoff_ladder=(dephasing_cutoff,)), 3),
+        "thermal": (replace(base, initial=InitialStateSpec("thermal", nbar=7.0),
+                            cutoff_ladder=mixed_ladder), 0),
+        "phase_randomized_coherent": (
+            replace(base, initial=InitialStateSpec("phase_randomized_coherent", nbar=7.0),
+                    cutoff_ladder=mixed_ladder), 0),
+        "mw_mixer": (replace(_model(base, absorber="oscillator",
+                                    absorber_dim=mw_absorber_dim),
+                             cutoff_ladder=(mw_cutoff,)), 0),
+        **{f"admixture_p{p}": (_admixture(base, p), 0) for p in admixture_ps},
+    }
+    shared = _SharedPropagators([cfg for cfg, _ in variants.values()] + [base], jobs)
+    reports = _parallel(lambda v: _variant_report(v[0], v[1], shared.for_run(v[0])),
+                        list(variants.values()), jobs)
+    results = dict(zip(variants, reports))
+    results["dephasing"]["dephasing_rate"] = rate
 
-    def dephasing():
-        cfg = replace(base, model=replace(base.model,
-                                          dephasing_rate=0.1 * base.model.coupling(1)),
-                      cutoff_ladder=(dephasing_cutoff,))
-        rep = _variant_report(cfg, neg_times=3)
-        rep["dephasing_rate"] = cfg.model.dephasing_rate
-        return "dephasing", rep
-
-    def thermal():
-        cfg = replace(base, initial=InitialStateSpec("thermal", nbar=7.0),
-                      cutoff_ladder=mixed_ladder)
-        return "thermal", _variant_report(cfg)
-
-    def poissonian():
-        cfg = replace(base,
-                      initial=InitialStateSpec("phase_randomized_coherent", nbar=7.0),
-                      cutoff_ladder=mixed_ladder)
-        return "phase_randomized_coherent", _variant_report(cfg)
-
-    def mixer():
-        cfg = replace(base, model=replace(base.model, absorber="oscillator",
-                                          absorber_dim=mw_absorber_dim),
-                      cutoff_ladder=(mw_cutoff,))
-        return "mw_mixer", _variant_report(cfg)
-
-    def admixture(p):
-        cfg = replace(base, initial=InitialStateSpec("admixture", n=base.initial.n,
-                                                     p=float(p)))
-        return f"admixture_p{p}", _variant_report(cfg)
-
-    tasks = [dephasing, thermal, poissonian, mixer] + \
-        [lambda p=p: admixture(p) for p in admixture_ps]
-    for name, rep in _parallel(lambda fn: fn(), tasks, jobs):
-        variants[name] = rep
-
-    reference = run_point(base)
-    variants["reference"] = {
+    reference = run_point(base, propagators=shared.for_run(base))
+    results["reference"] = {
         "max_coherence": reference.max_coherence,
         "tau_at_max": reference.tau_at_max,
     }
     if output_dir:
-        _write_json(os.path.join(_ensure_dir(output_dir), "robustness.json"), variants)
-    return variants
-
-
-# ---------------------------------------------------------------------------
-# pumped three-mode model
-
-def completed_model_run(config: ScenarioConfig, beta_list, jobs: int = 1,
-                        output_dir: str | None = None) -> SweepResult:
-    """Oscillator coherence of the pumped three-mode completion per pump
-    amplitude, with a side-by-side trace of the two-body model at the
-    pump-scaled linear coupling."""
-
-    def one(beta) -> PointRun:
-        beta = complex(beta)
-        model = replace(config.model, pump=beta)
-        cfg = replace(config, model=model)
-        run = run_point(cfg, coords={"beta": abs(beta)})
-        eff_inter = tuple(
-            Interaction(it.order, it.coupling * abs(beta) if it.order == 1 else it.coupling)
-            for it in config.model.interactions)
-        eff_model = replace(config.model, pump=None, interactions=eff_inter)
-        if abs(beta) > 0:
-            eff_run = run_point(replace(cfg, model=eff_model))
-            eff = np.array([r.coherence for r in eff_run.records])
-            got = np.array([r.coherence for r in run.records])
-            run.extras["effective_max_coherence"] = float(eff.max())
-            run.extras["effective_trace_deviation"] = (
-                float(np.abs(got - eff).max() / eff.max()) if eff.max() > 0 else 0.0)
-        return run
-
-    runs = _parallel(one, list(beta_list), jobs)
-    result = _finish_sweep({"beta": [abs(complex(b)) for b in beta_list]},
-                           runs, output_dir, "completed")
-    return result
+        _write_json(os.path.join(_ensure_dir(output_dir), "robustness.json"), results)
+    return results

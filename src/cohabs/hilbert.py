@@ -236,12 +236,14 @@ class KetEnsemble:
         rho = state.data
         pops = np.real(np.diagonal(rho))
         if np.count_nonzero(rho) == np.count_nonzero(pops):     # nothing off the diagonal
-            weights, vecs = pops, np.identity(len(pops))
+            weights, vecs, floor = pops, np.identity(len(pops)), 0.0
         else:
             weights, vecs = np.linalg.eigh(rho)
+            # eigenvalues within the solver's round-off of zero carry no state
+            floor = len(weights) * np.finfo(float).eps * weights.max()
         if weights.min() < -PSD_ATOL:
             raise StateError(f"density matrix has eigenvalue {weights.min():.3e}")
-        keep = weights > 0
+        keep = weights > floor
         return KetEnsemble(state.layout, vecs[:, keep] * np.sqrt(weights[keep]))
 
     @property

@@ -25,10 +25,7 @@ import numpy as np
 import pytest
 
 from cohabs import evolution, experiments, models, observables, states
-from cohabs.experiments import (admixture_sweep, coherence_landscape,
-                                load_config, max_coherence_vs_n,
-                                run_scenario, weak_coupling_scan,
-                                completed_model_run)
+from cohabs.experiments import load_config, run_scenario, sweep
 from cohabs.hilbert import partial_trace
 from cohabs.models import Interaction, ModelSpec
 from cohabs.states import InitialStateSpec
@@ -63,13 +60,13 @@ def fig3_run():
 @pytest.fixture(scope="session")
 def bars_result():
     cfg = load_config(CONFIGS / "fig4.json")
-    return max_coherence_vs_n(cfg, cfg.sweep["n"], jobs=JOBS)
+    return sweep(cfg, jobs=JOBS)
 
 
 @pytest.fixture(scope="session")
 def landscape_result():
     cfg = load_config(CONFIGS / "appendixB.json")
-    return coherence_landscape(cfg, cfg.sweep["n"], cfg.sweep["G"], jobs=JOBS)
+    return sweep(cfg, jobs=JOBS)
 
 
 @pytest.fixture(scope="session")
@@ -199,8 +196,7 @@ def test_criterion_6_weak_coupling():
     value_ok = abs(run.max_coherence - 3.5) <= 0.35
 
     scan_cfg = load_config(CONFIGS / "appendixC_weakscan.json")
-    scan = weak_coupling_scan(scan_cfg, scan_cfg.sweep["omega"],
-                              scan_cfg.sweep["Omega"], jobs=JOBS)
+    scan = sweep(scan_cfg, jobs=JOBS)
     enhanced = scan.argmax["enhanced_points"]
 
     ok = value_ok and len(enhanced) > 0
@@ -253,7 +249,7 @@ def test_criterion_8_classical_inputs():
 
 def test_criterion_9_ground_state_admixtures():
     cfg = load_config(CONFIGS / "appendixE.json")
-    result = admixture_sweep(cfg, cfg.sweep["p"], jobs=JOBS)
+    result = sweep(cfg, jobs=JOBS)
     by_p = {round(p.coords["p"], 2): p for p in result.points}
     targets = {0.25: 3.02, 0.5: 2.02, 0.75: 1.00}
     tau_ref = by_p[0.0].tau_at_max
@@ -270,7 +266,7 @@ def test_criterion_9_ground_state_admixtures():
 
 def test_criterion_10_pumped_completion():
     cfg = load_config(CONFIGS / "appendixD.json")
-    result = completed_model_run(cfg, cfg.sweep["beta"], jobs=1)
+    result = sweep(cfg, jobs=1)
     by_beta = {p.coords["beta"]: p for p in result.points}
 
     flat = by_beta[0.0]

@@ -68,6 +68,23 @@ class TestDispatch:
         assert code == 0
         assert len(summary["points"]) == 2
 
+    @pytest.mark.parametrize("command, axes, points", [
+        ("sweep", {"n": [1, 2], "G": [0.1, 1.0]}, 4),     # the landscape axis set
+        ("landscape", {"n": [2], "G": [0.1, 1.0], "p": [0.0, 0.5]}, None),
+        ("sweep", {"beta": [0.0, 1.0], "n": [1, 2]}, None),
+    ], ids=["sweep-n-G", "landscape-n-G-p", "sweep-beta-n"])
+    def test_every_sweep_axis_is_used(self, tmp_path, capsys, command, axes, points):
+        argv = [command, "--config", write_config(tmp_path, tiny_doc(sweep=axes))]
+        code = dispatch(argv)
+        out, err = capsys.readouterr()
+        if points is None:
+            assert code == 2
+            assert "accepted sets: n; p; n + G; omega + Omega; beta" in err
+            assert dispatch(argv + ["--dry-run"]) == 2
+        else:
+            assert code == 0
+            assert len(json.loads(out)["points"]) == points
+
     def test_sweep_without_axes_is_scenario(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tiny_doc())
         code, summary = run_json(capsys, ["sweep", "--config", cfg])
@@ -161,6 +178,19 @@ class TestExitCodes:
 
     def test_missing_config(self, capsys):
         assert dispatch(["evolve", "--config", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("wigner", ["diagnostics.wigner_points=1"]),
+        ("evolve", ["schedule.tau_max=-0.5", "model.dephasing_rate=0.1"]),
+        ("evolve", ["schedule.tau_max=-0.5"]),
+    ], ids=["wigner-points", "dephased-negative-tau", "unitary-negative-tau"])
+    def test_out_of_range_value(self, tmp_path, capsys, command, overrides):
+        doc = tiny_doc(model={"interactions": [[1, 1.0], [2, 0.1]], "cutoff": 12,
+                              "dephasing_rate": 0.0})
+        argv = [command, "--config", write_config(tmp_path, doc)]
+        for pair in overrides:
+            argv += ["--set", pair]
+        assert dispatch(argv) == 2
 
     def test_unknown_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tiny_doc())

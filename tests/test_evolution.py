@@ -320,6 +320,12 @@ class TestLindblad:
         with pytest.raises(StateError):
             lindblad_evolve(h, jumps, rho0, [-0.1, 1.0])
 
+    def test_rejects_decreasing_output_times(self, rng):
+        s, h, jumps = self.small(cutoff=6)
+        rho0 = QuantumState(s.layout(), random_density(rng, s.layout().total_dim))
+        with pytest.raises(StateError, match="0.2 follows 0.5"):
+            lindblad_evolve(h, jumps, rho0, [0.0, 0.5, 0.2])
+
     def test_accepts_vector_initial_state(self):
         s, h, jumps = self.small()
         psi0 = fock_state(s, 2)

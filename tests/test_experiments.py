@@ -1,20 +1,15 @@
 from dataclasses import replace
+import hashlib
 import json
 import math
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
 
-from cohabs import experiments
 from cohabs.errors import ConfigError
+from cohabs.evolution import HamiltonianPropagator
 from cohabs.experiments import (DiagnosticsFlags, ScenarioConfig, ScheduleSpec,
-                                SwitchSegment, admixture_sweep,
-                                coherence_landscape, completed_model_run,
-                                load_config, max_coherence_vs_n, run_scenario,
-                                weak_coupling_scan)
+                                SwitchSegment, load_config, run_scenario, sweep)
 from cohabs.models import Interaction, ModelSpec
 from cohabs.states import InitialStateSpec
 
@@ -125,6 +120,14 @@ class TestRunScenario:
         assert header == ("tau,t,coherence,entropy,mean_N,std_N,"
                           "mean_X,mean_P,V11,V22,V12,leakage")
 
+    def test_one_propagator_per_cutoff(self, monkeypatch):
+        # the Wigner and shell-removal snapshots reuse the series' propagator
+        built = count_propagators(monkeypatch)
+        run_scenario(tiny_config(points=25, tau_max=1.5, cutoff_ladder=(16, 24),
+                                 diagnostics=DiagnosticsFlags(wigner=True, shell_removal=True,
+                                                              wigner_points=41)))
+        assert len(built) == len(set(built)) == 2
+
     def test_summary_contents(self, tmp_path):
         run_scenario(tiny_config(points=20), output_dir=str(tmp_path))
         summary = json.loads((tmp_path / "summary.json").read_text())
@@ -160,6 +163,16 @@ class TestConfigDocuments:
         with pytest.raises(ConfigError):
             tiny_config(sweep={"n": []})
 
+    @pytest.mark.parametrize("tau_max", [-0.5, math.inf, math.nan])
+    def test_tau_max_must_be_finite_and_nonnegative(self, tau_max):
+        with pytest.raises(ConfigError):
+            ScheduleSpec(tau_max=tau_max)
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_wigner_grid_needs_two_points(self, points):
+        with pytest.raises(ConfigError):
+            DiagnosticsFlags(wigner_points=points)
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "missing.json")
@@ -173,12 +186,56 @@ class TestConfigDocuments:
             assert cfg.name == path.stem
 
 
+def pumped_config(**kw):
+    return ScenarioConfig(
+        name="pump",
+        model=ModelSpec(interactions=(Interaction(1, 1.0), Interaction(2, 0.1)),
+                        cutoff=14, pump=0j, pump_dim=12),
+        initial=InitialStateSpec("fock", n=4),
+        schedule=ScheduleSpec(tau_max=0.2, points=11),
+        **kw,
+    )
+
+
+SWEEP_KINDS = ("bars", "admixture", "landscape", "weak_scan", "completed")
+
+# distinct (model, cutoff) Hamiltonians of each sweep_config: the ladder has
+# two cutoffs; the weak scan's interaction-only baseline is its (0, 0) point;
+# the pump amplitude enters only the initial state, so the three pumped
+# models (pump_dim 12) share one Hamiltonian, beside two effective ones
+DISTINCT_HAMILTONIANS = {"bars": 2, "admixture": 2, "landscape": 4,
+                         "weak_scan": 8, "completed": 3}
+
+
+def sweep_config(kind):
+    if kind == "completed":
+        return pumped_config(sweep={"beta": [0.0, 0.5, 1.0]})
+    axes = {"bars": {"n": [1, 3, 5]}, "admixture": {"p": [0.1, 0.4, 0.7]},
+            "landscape": {"n": [2, 3], "G": [0.1, 1.0]},
+            "weak_scan": {"omega": [0.0, 0.1], "Omega": [0.0, 0.1]}}[kind]
+    return tiny_config(cutoff=24, n=5, points=30, tau_max=TWO_PI, cutoff_ladder=(20, 24),
+                       diagnostics=DiagnosticsFlags(shell_removal=True), sweep=axes)
+
+
+def count_propagators(monkeypatch) -> list[str]:
+    """Digests of the Hamiltonians of every HamiltonianPropagator built from now on."""
+    built = []
+    init = HamiltonianPropagator.__init__
+
+    def counting(self, hamiltonian):
+        built.append(hashlib.sha256(hamiltonian.entries.tobytes()).hexdigest())
+        init(self, hamiltonian)
+
+    monkeypatch.setattr(HamiltonianPropagator, "__init__", counting)
+    return built
+
+
 class TestSweeps:
     def test_bars_over_occupation(self, tmp_path):
         cfg = tiny_config(points=30, tau_max=TWO_PI,
-                          diagnostics=DiagnosticsFlags(shell_removal=True))
-        result = max_coherence_vs_n(cfg, [0, 2, 4], jobs=2,
-                                    output_dir=str(tmp_path))
+                          diagnostics=DiagnosticsFlags(shell_removal=True),
+                          sweep={"n": [0, 2, 4]})
+        result = sweep(cfg, jobs=2, output_dir=str(tmp_path))
         assert [p.coords["n"] for p in result.points] == [0, 2, 4]
         assert result.points[0].max_coherence < 1e-12
         assert result.points[2].max_coherence > result.points[1].max_coherence > 0
@@ -187,16 +244,18 @@ class TestSweeps:
         assert (tmp_path / "bars_summary.json").exists()
 
     def test_landscape_argmax_and_families(self):
-        cfg = tiny_config(points=41, tau_max=TWO_PI, cutoff=28)
-        result = coherence_landscape(cfg, [3], [0.05, 0.1, 10.0], jobs=2)
+        cfg = tiny_config(points=41, tau_max=TWO_PI, cutoff=28,
+                          sweep={"n": [3], "G": [0.05, 0.1, 10.0]})
+        result = sweep(cfg, jobs=2)
         assert "ratio_argmax_at_pi" in result.argmax
         by_g = {p.coords["G"]: p for p in result.points}
         assert by_g[10.0].extras["local_maxima"] >= 1
         assert all("coherence_at_pi" in p.extras for p in result.points)
 
     def test_weak_scan_reports_baseline(self):
-        cfg = tiny_config(points=25, tau_max=TWO_PI, cutoff=28)
-        result = weak_coupling_scan(cfg, [0.0, 0.1], [0.0, 0.1], jobs=2)
+        cfg = tiny_config(points=25, tau_max=TWO_PI, cutoff=28,
+                          sweep={"omega": [0.0, 0.1], "Omega": [0.0, 0.1]})
+        result = sweep(cfg, jobs=2)
         assert "interaction_only_baseline" in result.argmax
         zero = [p for p in result.points
                 if p.coords == {"omega": 0.0, "Omega": 0.0}][0]
@@ -204,76 +263,46 @@ class TestSweeps:
             result.argmax["interaction_only_baseline"], abs=1e-12)
 
     def test_admixture_sweep(self):
-        cfg = tiny_config(points=25, tau_max=TWO_PI)
-        result = admixture_sweep(cfg, [0.0, 0.5], jobs=1)
+        cfg = tiny_config(points=25, tau_max=TWO_PI, sweep={"p": [0.0, 0.5]})
+        result = sweep(cfg, jobs=1)
         c0, c5 = (p.max_coherence for p in result.points)
         assert c5 < c0
 
-    def test_admixture_sweep_files_independent_of_jobs(self, tmp_path):
-        # the points share one cached propagator; thread order must not matter
-        cfg = tiny_config(cutoff=40, n=5, points=30, tau_max=TWO_PI)
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    def test_sweep_files_independent_of_jobs(self, kind, tmp_path):
+        # points run in threads over shared propagators; thread order must not matter
+        cfg = sweep_config(kind)
         for jobs in (1, 2):
-            experiments.clear_propagator_cache()
-            admixture_sweep(cfg, [0.1, 0.4, 0.7], jobs=jobs,
-                            output_dir=str(tmp_path / f"jobs{jobs}"))
-        for name in ("admixture_summary.json", "admixture_points.csv"):
+            sweep(cfg, jobs=jobs, output_dir=str(tmp_path / f"jobs{jobs}"))
+        names = sorted(p.name for p in (tmp_path / "jobs1").iterdir())
+        expected = [f"{kind}_points.csv", f"{kind}_summary.json"]
+        if kind == "landscape":
+            expected.insert(0, "landscape_argmax_g.json")
+        assert names == expected
+        for name in names:
             assert (tmp_path / "jobs1" / name).read_bytes() == \
                 (tmp_path / "jobs2" / name).read_bytes(), name
 
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    def test_one_propagator_per_distinct_hamiltonian(self, kind, monkeypatch):
+        built = count_propagators(monkeypatch)
+        sweep(sweep_config(kind), jobs=2)
+        assert sorted(built) == sorted(set(built))
+        assert len(built) == DISTINCT_HAMILTONIANS[kind]
+
     def test_completed_model_passivity_and_comparison(self):
-        cfg = ScenarioConfig(
-            name="pump",
-            model=ModelSpec(interactions=(Interaction(1, 1.0), Interaction(2, 0.1)),
-                            cutoff=14, pump=0j, pump_dim=12),
-            initial=InitialStateSpec("fock", n=4),
-            schedule=ScheduleSpec(tau_max=0.2, points=11),
-        )
-        result = completed_model_run(cfg, [0.0, 1.0], jobs=1)
+        result = sweep(pumped_config(sweep={"beta": [0.0, 1.0]}), jobs=1)
         flat, pumped = result.points
         assert flat.max_coherence < 1e-10
         assert pumped.max_coherence > 1e-4
         assert "effective_trace_deviation" in pumped.extras
 
     def test_sweep_summary_shape(self):
-        cfg = tiny_config(points=20, tau_max=1.0)
-        result = max_coherence_vs_n(cfg, [1, 2], jobs=1)
+        cfg = tiny_config(points=20, tau_max=1.0, sweep={"n": [1, 2]})
+        result = sweep(cfg, jobs=1)
         doc = result.summary()
         assert set(doc) == {"axes", "points", "argmax", "convergence"}
         assert doc["argmax"]["max_coherence"] == max(
             p["max_coherence"] for p in doc["points"])
 
 
-class TestPropagatorCache:
-    def test_concurrent_misses_build_once(self, monkeypatch):
-        built = []
-        workers = 4
-        start = threading.Barrier(workers)
-
-        class CountingPropagator:
-            def __init__(self, hamiltonian):
-                built.append(hamiltonian)
-                time.sleep(0.05)            # hold the build open while the others miss
-
-        monkeypatch.setattr(experiments, "HamiltonianPropagator", CountingPropagator)
-        model = tiny_config(cutoff=10).model
-        got = []
-
-        def request():
-            start.wait(timeout=10)
-            got.append(experiments._propagator_for(model))
-
-        interval = sys.getswitchinterval()
-        experiments.clear_propagator_cache()
-        try:
-            sys.setswitchinterval(1e-6)
-            threads = [threading.Thread(target=request) for _ in range(workers)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-            assert not any(t.is_alive() for t in threads)
-        finally:
-            sys.setswitchinterval(interval)
-            experiments.clear_propagator_cache()
-        assert len(built) == 1
-        assert len(got) == workers and all(p is got[0] for p in got)

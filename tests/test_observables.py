@@ -17,7 +17,8 @@ from cohabs.observables import (WignerGridSpec,
                                 remove_gaussian_shell, save_wigner_csv,
                                 save_wigner_text, von_neumann_entropy, wigner,
                                 wigner_values)
-from cohabs.states import coherent_amplitudes, thermal_populations
+from cohabs.states import (InitialStateSpec, coherent_amplitudes, make_state,
+                           thermal_populations)
 from conftest import random_density, random_ket
 
 
@@ -425,3 +426,17 @@ class TestEnsembleDiagnostics:
         ens = prop.state_at(prop.expand(KetEnsemble.from_state(psi0)), 0.0)
         rec = diagnose(partial_trace(ens, "osc"))
         assert (rec.mean_n, rec.std_n, rec.coherence) == (7.0, 0.0, 0.0)
+
+    def test_pumped_admixture_drops_round_off_eigenvalues(self):
+        # the coherent pump factor makes the admixture's density matrix dense;
+        # its eigendecomposition has two weights and 510 round-off eigenvalues
+        spec = ModelSpec(interactions=(Interaction(1, 1.0), Interaction(2, 0.1)),
+                         cutoff=16, pump=1.5 + 0j, pump_dim=16)
+        state0 = make_state(InitialStateSpec("admixture", n=7, p=0.3), spec.layout(),
+                            pump_amplitude=spec.pump)
+        ens = KetEnsemble.from_state(state0)
+        assert ens.kets.shape == (512, 2)
+        got = diagnose(partial_trace(ens, "osc"), top_level_population(ens))
+        want = diagnose(partial_trace(state0, "osc"), top_level_population(state0))
+        for field in self.FIELDS:
+            assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-12), field
