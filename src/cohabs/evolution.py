@@ -338,7 +338,8 @@ def lindblad_evolve(hamiltonian: Operator, jump_ops, rho0: QuantumState, times,
     Accepted steps follow the error control alone: an output state is a
     partial step from the last accepted state and is never fed back, so the
     trajectory does not depend on the output grid.  Raises IntegrationError
-    (carrying the time reached) on step-size underflow.
+    (carrying the time reached) on step-size underflow, and a StateError
+    naming the output time when an output state is not positive.
     """
     if not hamiltonian.hermitian:
         raise StateError("master equation requires a Hermitian Hamiltonian")
@@ -379,7 +380,10 @@ def lindblad_evolve(hamiltonian: Operator, jump_ops, rho0: QuantumState, times,
             rho = step.to_fock(step(sigma, float(t_out) - t))
             rho = 0.5 * (rho + rho.conj().T)
         st = QuantumState(layout, rho, trace_atol=1e-8)
-        st.validate_positive(atol=1e-7)
+        try:
+            st.validate_positive(atol=1e-7)
+        except StateError as exc:
+            raise StateError(f"{exc} (output time: {t_out:.6g})") from exc
         leakage[i] = top_level_population(st)
         if observer is not None:
             observer(float(t_out), st)

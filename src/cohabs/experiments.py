@@ -133,6 +133,8 @@ class ScenarioConfig:
             accepted = "; ".join(" + ".join(_ordered(axes)) for axes in _SWEEP_KINDS)
             raise ConfigError(f"sweep axes {sorted(self.sweep)} are not one of the "
                               f"accepted sets: {accepted}")
+        if not (math.isfinite(self.lindblad_tol) and self.lindblad_tol > 0):
+            raise ConfigError(f"lindblad_tol must be finite and > 0, got {self.lindblad_tol}")
 
     def ladder(self) -> tuple[int, ...]:
         return self.cutoff_ladder or (self.model.cutoff,)
@@ -222,6 +224,9 @@ class PointRun:
     converged: bool
     leakage_flag: bool
     extras: dict = field(default_factory=dict)
+    # reduced states at the "half" and "max" times, kept when the config's
+    # diagnostics need them; never serialized
+    snapshots: dict = field(default_factory=dict, repr=False)
 
     def summary(self) -> dict:
         idx_max = int(np.argmax([r.coherence for r in self.records])) if self.records else 0
@@ -295,7 +300,8 @@ def oscillator_states(config: ScenarioConfig, taus, cutoff: int | None = None,
     cutoff unless `cutoff` is given; continuous schedules only.  Unitary runs
     give ket ensembles (rho = Phi Phi^dag), dephased runs density matrices;
     every function in `observables` takes either.  `propagators` is the
-    run's {cutoff: propagator}, so snapshots reuse the series' propagator."""
+    caller's {cutoff: propagator}, so states sampled after a run reuse its
+    propagator."""
     grid = sorted({float(tau) for tau in taus})
     rhos = []
     _evolve(config, config.ladder()[-1] if cutoff is None else cutoff, grid,
@@ -313,43 +319,80 @@ def wigner_snapshot(rho, points: int):
     return spec, grid, observables.negativity_volume(grid)
 
 
-def _headline(taus, records) -> tuple[float, float, float, float]:
-    """(max C, tau at max, C at the earliest half-max crossing, its tau)."""
-    cs = np.array([r.coherence for r in records])
-    if len(cs) == 0:
-        return 0.0, 0.0, 0.0, 0.0
+def _headline(coherences) -> tuple[int, int]:
+    """(index of the first max of C, index of the earliest C >= C_max / 2)."""
+    cs = np.asarray(coherences, float)
     i_max = int(np.argmax(cs))
-    half = cs[i_max] / 2.0
-    above = np.nonzero(cs >= half)[0]
-    i_half = int(above[0]) if len(above) else i_max
-    return float(cs[i_max]), float(taus[i_max]), float(cs[i_half]), float(taus[i_half])
+    above = np.nonzero(cs >= cs[i_max] / 2.0)[0]
+    return i_max, int(above[0]) if len(above) else i_max
+
+
+class _RecordStates:
+    """The states at the running-coherence records of a series: the points
+    whose coherence is strictly above every earlier one.  Records are dropped
+    from the front once their coherence is below half the running max.  The
+    kept set holds `_headline`'s two points: the first max is a record, and
+    so is the earliest C >= C_max / 2, since every earlier C is below it;
+    neither ever falls below half the running max, so neither is dropped."""
+
+    def __init__(self):
+        self._kept: list[tuple[int, float, object]] = []   # (index, C, state)
+        self._count = 0
+
+    def add(self, coherence: float, state) -> None:
+        index = self._count
+        self._count += 1
+        if self._kept and coherence <= self._kept[-1][1]:
+            return
+        self._kept.append((index, coherence, state))
+        while self._kept[0][1] < coherence / 2.0:
+            del self._kept[0]
+
+    def states(self) -> dict:
+        """{index: state} of the kept records."""
+        return {index: state for index, _, state in self._kept}
 
 
 def run_point(config: ScenarioConfig, coords: dict | None = None,
               propagators: dict | None = None) -> PointRun:
     """Run the scenario over its cutoff ladder; series kept for the top cutoff.
     `propagators` ({cutoff: propagator}) supplies and collects the run's
-    propagators."""
+    propagators.  When the config asks for Wigner grids or shell removal, the
+    reduced states at the half-max and max times are kept from the series
+    itself in `snapshots`."""
     propagators = {} if propagators is None else propagators
+    ladder = config.ladder()
+    keep_states = ((config.diagnostics.wigner or config.diagnostics.shell_removal)
+                   and config.schedule.kind == "continuous")
     max_by_cutoff = []
-    for cutoff in config.ladder():
+    for cutoff in ladder:
         records: list[DiagnosticsRecord] = []
-        taus, times = _evolve(config, cutoff, None, lambda _t, state: records.append(
-            diagnose(partial_trace(state, OSC_LABEL), top_level_population(state))),
-            propagators)
-        max_by_cutoff.append(max((r.coherence for r in records), default=0.0))
+        kept = _RecordStates() if keep_states and cutoff == ladder[-1] else None
+
+        def observe(_t, state):
+            rho = partial_trace(state, OSC_LABEL)
+            records.append(diagnose(rho, top_level_population(state)))
+            if kept is not None:
+                kept.add(records[-1].coherence, rho)
+
+        taus, times = _evolve(config, cutoff, None, observe, propagators)
+        max_by_cutoff.append(max(r.coherence for r in records))
     shift = (abs(max_by_cutoff[-1] - max_by_cutoff[-2])
              if len(max_by_cutoff) >= 2 else 0.0)
-    max_c, tau_max, half_c, tau_half = _headline(taus, records)
-    leak_flag = any(r.leakage > LEAKAGE_WARN for r in records)
+    i_max, i_half = _headline([r.coherence for r in records])
+    snapshots = {}
+    if kept is not None:
+        states_by_index = kept.states()
+        snapshots = {"half": states_by_index[i_half], "max": states_by_index[i_max]}
     return PointRun(
         coords=dict(coords or {}),
         taus=taus, times=times, records=records,
-        max_coherence=max_c, tau_at_max=tau_max,
-        half_coherence=half_c, tau_at_half=tau_half,
+        max_coherence=float(records[i_max].coherence), tau_at_max=float(taus[i_max]),
+        half_coherence=float(records[i_half].coherence), tau_at_half=float(taus[i_half]),
         convergence_shift=shift,
         converged=shift <= CONVERGENCE_SHIFT_ATOL,
-        leakage_flag=leak_flag,
+        leakage_flag=any(r.leakage > LEAKAGE_WARN for r in records),
+        snapshots=snapshots,
     )
 
 
@@ -369,14 +412,12 @@ def _write_series_csv(path, taus, times, records) -> None:
             fh.write(f"{tau:.12g},{t:.12g}," + rec.csv_row() + "\n")
 
 
-def _diag_extras(config: ScenarioConfig, run: PointRun, outdir: str | None,
-                 propagators: dict) -> dict:
-    """Wigner grids and shell removal at the max and half-max times; grid
-    files are written only when an output directory is given."""
+def _diag_extras(config: ScenarioConfig, run: PointRun, outdir: str | None) -> dict:
+    """Wigner grids and shell removal at the max and half-max times, from the
+    run's snapshots; grid files are written only when an output directory is
+    given."""
     info: dict = {}
-    snap = oscillator_states(config, [run.tau_at_half, run.tau_at_max],
-                             propagators=propagators)
-    for label, rho in zip(["half", "max"], snap):
+    for label, rho in run.snapshots.items():
         if config.diagnostics.wigner:
             grid_spec, grid, negativity = wigner_snapshot(rho, config.diagnostics.wigner_points)
             if outdir:
@@ -396,12 +437,10 @@ def _diag_extras(config: ScenarioConfig, run: PointRun, outdir: str | None,
 
 def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> PointRun:
     """Full single-scenario run with optional persisted artifacts."""
-    propagators: dict[int, HamiltonianPropagator] = {}
-    run = run_point(config, propagators=propagators)
+    run = run_point(config)
     outdir = _ensure_dir(output_dir) if output_dir else None
-    needs_states = config.diagnostics.wigner or config.diagnostics.shell_removal
-    if needs_states and config.schedule.kind == "continuous":
-        run.extras.update(_diag_extras(config, run, outdir, propagators))
+    if run.snapshots:
+        run.extras.update(_diag_extras(config, run, outdir))
     if outdir:
         _write_json(os.path.join(outdir, "config.json"),
                     {**config.to_dict(), "config_hash": config.hash(),
@@ -502,14 +541,12 @@ def _ordered(axes) -> list[str]:
     return [axis for axis in _AXES if axis in axes]
 
 
-def _shell_removal_at_max(shared, cfg: ScenarioConfig, run: PointRun,
-                          propagators: dict) -> None:
+def _shell_removal_at_max(shared, cfg: ScenarioConfig, run: PointRun) -> None:
     """bars: the coherence left after Gaussian-shell removal at the
     max-coherence time, for n > 0."""
-    if cfg.diagnostics.shell_removal and cfg.initial.n > 0:
-        rho, = oscillator_states(cfg, [run.tau_at_max], propagators=propagators)
+    if cfg.diagnostics.shell_removal and cfg.initial.n > 0 and run.snapshots:
         run.extras["shell_removed_coherence"] = observables.coherence(
-            observables.remove_gaussian_shell(rho))
+            observables.remove_gaussian_shell(run.snapshots["max"]))
 
 
 def _count_local_maxima(values: np.ndarray, prominence: float = 0.01) -> int:
@@ -566,8 +603,7 @@ def _effective(cfg: ScenarioConfig) -> ScenarioConfig | None:
         for it in cfg.model.interactions))
 
 
-def _effective_deviation(shared, cfg: ScenarioConfig, run: PointRun,
-                         propagators: dict) -> None:
+def _effective_deviation(shared, cfg: ScenarioConfig, run: PointRun) -> None:
     """completed: the pumped trace against the effective two-body model's."""
     eff_cfg = _effective(cfg)
     if eff_cfg is None:
@@ -583,7 +619,7 @@ def _effective_deviation(shared, cfg: ScenarioConfig, run: PointRun,
 @dataclass(frozen=True)
 class _SweepKind:
     stem: str                        # <stem>_summary.json, <stem>_points.csv
-    point: Callable | None = None    # (shared, cfg, run, propagators), in the point's worker
+    point: Callable | None = None    # (shared, cfg, run), in the point's worker
     finish: Callable | None = None   # (shared, config, runs, output_dir) -> argmax fields
     companions: Callable = lambda config, cfgs: []   # the runs `point`/`finish` add
 
@@ -625,10 +661,10 @@ def sweep(config: ScenarioConfig, jobs: int = 1,
 
     def one(point) -> PointRun:
         cfg, coords = point
-        propagators = shared.for_run(cfg)
-        run = run_point(cfg, coords, propagators)
+        run = run_point(cfg, coords, shared.for_run(cfg))
         if kind.point is not None:
-            kind.point(shared, cfg, run, propagators)
+            kind.point(shared, cfg, run)
+        run.snapshots.clear()
         return run
 
     runs = _parallel(one, points, jobs)

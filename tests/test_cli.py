@@ -192,6 +192,12 @@ class TestExitCodes:
             argv += ["--set", pair]
         assert dispatch(argv) == 2
 
+    @pytest.mark.parametrize("tol", ["-1e-7", "0", "nan"])
+    def test_bad_lindblad_tol_fails_dry_run(self, tmp_path, capsys, tol):
+        cfg = write_config(tmp_path, tiny_doc())
+        assert dispatch(["evolve", "--config", cfg, "--dry-run",
+                         "--set", f"lindblad_tol={tol}"]) == 2
+
     def test_unknown_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tiny_doc())
         assert dispatch(["evolve", "--config", cfg, "--set", "bogus.key=1"]) == 2

@@ -326,6 +326,14 @@ class TestLindblad:
         with pytest.raises(StateError, match="0.2 follows 0.5"):
             lindblad_evolve(h, jumps, rho0, [0.0, 0.5, 0.2])
 
+    def test_positivity_error_names_output_time(self):
+        # a trace-1 Hermitian input with eigenvalues (1.2, -0.2) trips at t = 0
+        s, h, jumps = self.small(cutoff=6)
+        dim = s.layout().total_dim
+        rho0 = QuantumState(s.layout(), np.diag([1.2, -0.2] + [0.0] * (dim - 2)))
+        with pytest.raises(StateError, match=r"eigenvalue .*\(output time: 0\)"):
+            lindblad_evolve(h, jumps, rho0, [0.0, 0.5])
+
     def test_accepts_vector_initial_state(self):
         s, h, jumps = self.small()
         psi0 = fock_state(s, 2)

@@ -3,14 +3,18 @@ import hashlib
 import json
 import math
 
+from hypothesis import example, given, strategies as st
 import numpy as np
 import pytest
 
+from cohabs import experiments
 from cohabs.errors import ConfigError
 from cohabs.evolution import HamiltonianPropagator
 from cohabs.experiments import (DiagnosticsFlags, ScenarioConfig, ScheduleSpec,
-                                SwitchSegment, load_config, run_scenario, sweep)
+                                SwitchSegment, _headline, _RecordStates, load_config,
+                                oscillator_states, run_scenario, sweep, wigner_snapshot)
 from cohabs.models import Interaction, ModelSpec
+from cohabs.observables import save_wigner_csv, save_wigner_text
 from cohabs.states import InitialStateSpec
 
 TWO_PI = 2 * math.pi
@@ -111,8 +115,39 @@ class TestRunScenario:
                           diagnostics=DiagnosticsFlags(shell_removal=True))
         cfg = replace(cfg, model=replace(cfg.model, dephasing_rate=0.05))
         run = run_scenario(cfg)
-        assert run.extras["raw_coherence_at_max"] == pytest.approx(run.max_coherence,
-                                                                   abs=1e-6)
+        assert run.extras["raw_coherence_at_max"] == run.max_coherence
+
+    def test_dephased_run_integrates_once(self, monkeypatch):
+        # the Wigner and shell-removal snapshots come from the series pass
+        calls = []
+        evolve = experiments.lindblad_evolve
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return evolve(*args, **kw)
+
+        monkeypatch.setattr(experiments, "lindblad_evolve", counting)
+        run = run_scenario(dephased_config(shell_removal=True))
+        assert len(calls) == 1
+        assert {"wigner_half", "wigner_max", "shell_removed_coherence"} <= set(run.extras)
+
+    @pytest.mark.parametrize("dephasing_rate", [0.0, 0.05], ids=["unitary", "dephased"])
+    def test_wigner_files_match_oscillator_states(self, dephasing_rate, tmp_path):
+        cfg = dephased_config(dephasing_rate)
+        run = run_scenario(cfg, output_dir=str(tmp_path / "run"))
+        rhos = oscillator_states(cfg, [run.tau_at_half, run.tau_at_max])
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        for label, rho in zip(("half", "max"), rhos):
+            grid = wigner_snapshot(rho, cfg.diagnostics.wigner_points)[1]
+            assert np.array_equal(
+                grid.values,
+                wigner_snapshot(run.snapshots[label], cfg.diagnostics.wigner_points)[1].values)
+            save_wigner_text(grid, str(ref / f"wigner_{label}.txt"))
+            save_wigner_csv(grid, str(ref / f"wigner_{label}.csv"))
+            for suffix in ("txt", "csv"):
+                name = f"wigner_{label}.{suffix}"
+                assert (tmp_path / "run" / name).read_bytes() == (ref / name).read_bytes()
 
     def test_series_csv_columns(self, tmp_path):
         run_scenario(tiny_config(points=5), output_dir=str(tmp_path))
@@ -121,7 +156,7 @@ class TestRunScenario:
                           "mean_X,mean_P,V11,V22,V12,leakage")
 
     def test_one_propagator_per_cutoff(self, monkeypatch):
-        # the Wigner and shell-removal snapshots reuse the series' propagator
+        # one propagator per ladder cutoff; the snapshots build none of their own
         built = count_propagators(monkeypatch)
         run_scenario(tiny_config(points=25, tau_max=1.5, cutoff_ladder=(16, 24),
                                  diagnostics=DiagnosticsFlags(wigner=True, shell_removal=True,
@@ -168,6 +203,11 @@ class TestConfigDocuments:
         with pytest.raises(ConfigError):
             ScheduleSpec(tau_max=tau_max)
 
+    @pytest.mark.parametrize("tol", [-1e-7, 0.0, math.nan, math.inf])
+    def test_lindblad_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ConfigError):
+            tiny_config(lindblad_tol=tol)
+
     @pytest.mark.parametrize("points", [0, 1])
     def test_wigner_grid_needs_two_points(self, points):
         with pytest.raises(ConfigError):
@@ -184,6 +224,62 @@ class TestConfigDocuments:
         for path in sorted(configs.glob("*.json")):
             cfg = load_config(path)
             assert cfg.name == path.stem
+
+
+def dephased_config(dephasing_rate=0.05, shell_removal=False):
+    cfg = tiny_config(cutoff=16, points=12, tau_max=0.6,
+                      diagnostics=DiagnosticsFlags(wigner=True, shell_removal=shell_removal,
+                                                   wigner_points=31))
+    return replace(cfg, model=replace(cfg.model, dephasing_rate=dephasing_rate))
+
+
+coherences = st.floats(0.0, 1.0, allow_nan=False)
+
+
+class TestSnapshotRecords:
+    """`_RecordStates` keeps the two points `_headline` reports."""
+
+    @given(st.one_of(st.lists(coherences, min_size=1, max_size=60),
+                     st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1,
+                              max_size=30)))
+    @example([0.0])
+    @example([0.0] * 7)
+    @example([0.3])
+    @example([0.1, 0.2, 0.3, 0.4])
+    @example([0.4, 0.3, 0.2, 0.1])
+    @example([0.1, 0.5, 0.5, 1.0, 1.0, 0.5])
+    def test_kept_records_hold_headline_points(self, cs):
+        kept = _RecordStates()
+        for i, c in enumerate(cs):
+            kept.add(c, f"state {i}")
+        states = kept.states()
+        i_max, i_half = _headline(cs)
+        assert {i_max, i_half} <= set(states)
+        assert states[i_max] == f"state {i_max}"
+        assert states[i_half] == f"state {i_half}"
+
+    def test_kept_set_is_small_on_a_rise(self):
+        # records below half the running max are dropped from the front
+        kept = _RecordStates()
+        for i in range(1, 101):
+            kept.add(float(i), i)
+        assert sorted(kept.states()) == list(range(49, 100))
+
+    @pytest.mark.parametrize("flags, expected", [
+        (DiagnosticsFlags(), set()),
+        (DiagnosticsFlags(wigner=True), {"half", "max"}),
+        (DiagnosticsFlags(shell_removal=True), {"half", "max"}),
+    ])
+    def test_snapshots_kept_only_when_asked(self, flags, expected):
+        run = run_scenario(tiny_config(points=20, diagnostics=flags))
+        assert set(run.snapshots) == expected
+
+    def test_sweep_frees_snapshots(self):
+        cfg = tiny_config(points=20, diagnostics=DiagnosticsFlags(shell_removal=True),
+                          sweep={"n": [2, 3]})
+        result = sweep(cfg, jobs=1)
+        assert all(p.snapshots == {} for p in result.points)
+        assert all("shell_removed_coherence" in p.extras for p in result.points)
 
 
 def pumped_config(**kw):
