@@ -4,14 +4,14 @@ product-formula step, and a Lindblad master-equation integrator.
 
 Unitary propagation goes through a Hermitian eigendecomposition, which is
 exact for arbitrary times and amortizes across the hundreds of output points
-of a sweep.  States are propagated as ket ensembles: a mixed input that is
-diagonal in the Fock basis costs one column per nonzero population, never a
-dense density matrix.  The master equation is integrated by an adaptive Strang
+of a sweep.  Unitary runs take and give `KetEnsemble`s: a mixed input that
+is diagonal in the Fock basis costs one column per nonzero population, never
+a dense density matrix.  The master equation evolves the dense density
+matrix and gives `QuantumState`s.  It is integrated by an adaptive Strang
 splitting: every step composes the exact unitary (a phase in the eigenbasis
-of H) with the exact dissipative semigroup, so every step is a CPTP map and
-the state stays positive at any tolerance.  The density matrix is evolved
-directly; only jump operators that are not diagonal in the storage basis go
-through a (sparse) vectorized superoperator.
+of H) with the exact dissipative semigroup of jump operators diagonal in the
+storage basis, so every step is a CPTP map and the state stays positive at
+any tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from . import hilbert, models
-from .errors import IntegrationError, LayoutError, StateError
+from .errors import IntegrationError, LayoutError, SimulationError, StateError
 from .hilbert import KetEnsemble, Operator, QuantumState
 from .models import ABSORBER_LABEL, OSC_LABEL
 
@@ -33,7 +33,7 @@ LEAKAGE_WARN = 1e-6
 @dataclass(frozen=True)
 class EvolutionResult:
     times: np.ndarray
-    states: tuple[QuantumState, ...]
+    states: tuple[KetEnsemble, ...] | tuple[QuantumState, ...]
     leakage: np.ndarray
     leakage_flag: bool
 
@@ -50,8 +50,6 @@ def top_level_population(state: QuantumState | KetEnsemble, label: str = OSC_LAB
     dims = state.layout.dims
     if isinstance(state, KetEnsemble):
         probs = (state.kets.real ** 2 + state.kets.imag ** 2).sum(axis=1)
-    elif state.is_vector:
-        probs = np.abs(state.data) ** 2
     else:
         probs = np.real(np.diagonal(state.data))
     sum_axes = tuple(i for i in range(len(dims)) if i != axis)
@@ -74,7 +72,7 @@ class EigenExpansion:
     """A state expanded once in a propagator's eigenbasis, C = V^dag Psi0 for
     its ket ensemble Psi0; each later time then costs one block product."""
 
-    initial: QuantumState | KetEnsemble
+    initial: KetEnsemble
     coeffs: np.ndarray
 
     @property
@@ -86,8 +84,7 @@ class HamiltonianPropagator:
     """Eigendecomposition-backed exact propagator exp(-i H t).
 
     One decomposition serves every requested time.  Every state is
-    propagated as a ket ensemble (see `KetEnsemble`): a vector is one ket,
-    a density matrix its populations or eigenvectors.  A Hamiltonian whose
+    propagated as a ket ensemble (see `KetEnsemble`).  A Hamiltonian whose
     imaginary part is exactly zero (every model in `models`) is
     diagonalised in real arithmetic and keeps real eigenvectors.
     """
@@ -99,18 +96,15 @@ class HamiltonianPropagator:
         h = hamiltonian.entries
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(h if h.imag.any() else h.real)
 
-    def expand(self, state0: QuantumState | KetEnsemble) -> EigenExpansion:
+    def expand(self, state0: KetEnsemble) -> EigenExpansion:
         """C = V^dag Psi0, computed once per trajectory."""
         if state0.layout != self.layout:
             raise LayoutError("state layout does not match the Hamiltonian")
-        ensemble = (state0 if isinstance(state0, KetEnsemble)
-                    else KetEnsemble.from_state(state0))
-        return EigenExpansion(state0, _product(self.eigenvectors.conj().T, ensemble.kets))
+        return EigenExpansion(state0, _product(self.eigenvectors.conj().T, state0.kets))
 
-    def state_at(self, state0: QuantumState | KetEnsemble | EigenExpansion, t: float):
-        """The state at time t, of the same kind as the initial state: a
-        vector, a density matrix or a KetEnsemble.  Pass an EigenExpansion
-        to reuse one expansion across many times."""
+    def state_at(self, state0: KetEnsemble | EigenExpansion, t: float) -> KetEnsemble:
+        """The state at time t.  Pass an EigenExpansion to reuse one
+        expansion across many times."""
         expansion = state0 if isinstance(state0, EigenExpansion) else self.expand(state0)
         initial = expansion.initial
         if t == 0.0:
@@ -118,15 +112,11 @@ class HamiltonianPropagator:
             # leave round-off in, e.g., the zero number spread of a Fock input
             return initial
         phase = np.exp(-1j * self.eigenvalues * t)
-        kets = _product(self.eigenvectors, phase[:, None] * expansion.coeffs)
-        if isinstance(initial, KetEnsemble):
-            return KetEnsemble(self.layout, kets)
-        if initial.is_vector:
-            return QuantumState(self.layout, kets[:, 0])
-        return QuantumState(self.layout, KetEnsemble(self.layout, kets).density())
+        return KetEnsemble(self.layout,
+                           _product(self.eigenvectors, phase[:, None] * expansion.coeffs))
 
 
-def unitary_evolve(hamiltonian: Operator, state0: QuantumState, times,
+def unitary_evolve(hamiltonian: Operator, state0: KetEnsemble, times,
                    observer=None, store_states: bool = True) -> EvolutionResult:
     """Evolve under exp(-i H t) and record states and truncation leakage.
 
@@ -172,14 +162,14 @@ class SwitchCoefficients:
         if abs(norm - 1.0) > 1e-12:
             raise StateError(f"switch amplitudes norm {norm!r} deviates from 1")
 
-    def state(self, cutoff: int) -> QuantumState:
+    def state(self, cutoff: int) -> KetEnsemble:
         layout = hilbert.SpaceLayout(((ABSORBER_LABEL, 2), (OSC_LABEL, cutoff)))
-        vec = np.zeros(2 * cutoff, complex)
-        vec[self.n] = self.alpha
-        vec[self.n + 1] = self.beta
-        vec[cutoff + self.n - 1] = self.gamma
-        vec[cutoff + self.n - 2] = self.delta
-        return QuantumState(layout, vec)
+        ket = np.zeros((2 * cutoff, 1), complex)
+        ket[self.n] = self.alpha
+        ket[self.n + 1] = self.beta
+        ket[cutoff + self.n - 1] = self.gamma
+        ket[cutoff + self.n - 2] = self.delta
+        return KetEnsemble(layout, ket)
 
 
 def switch_coefficients(n: int, g1: float, g2: float, t: float) -> SwitchCoefficients:
@@ -199,7 +189,7 @@ def switch_coefficients(n: int, g1: float, g2: float, t: float) -> SwitchCoeffic
 
 
 def sequential_switch(orders, couplings, durations,
-                      state0: QuantumState) -> EvolutionResult:
+                      state0: KetEnsemble) -> EvolutionResult:
     """Apply exp(-i V^(k_j) t_j) segment by segment, recording each boundary.
 
     Zero-duration segments act as the identity and are skipped (recording
@@ -235,7 +225,7 @@ def sequential_switch(orders, couplings, durations,
 
 
 def bch_first_order(g1: float, g2: float, t: float,
-                    state0: QuantumState) -> QuantumState:
+                    state0: KetEnsemble) -> KetEnsemble:
     """First-order product-formula state U1(t) U2(t) |psi0> for the combined
     interaction; deviates from the exact combined evolution as O(t^2)."""
     cutoff = state0.layout.dim(OSC_LABEL)
@@ -268,11 +258,10 @@ class _StrangStep:
     on density matrices held in the eigenbasis of H.  Each factor is an exact
     CPTP map, so every step is one too.  U is exp(-iHt), an elementwise phase
     in that basis.  D is the exact semigroup of the dissipator, applied in
-    the storage basis: for jump operators diagonal there it multiplies rho_ij
-    by exp(h K_ij) with K_ij = sum_L (d_i d_j^* - (|d_i|^2 + |d_j|^2)/2),
-    which is -(gamma/2)(n_i - n_j)^2 for number dephasing; otherwise it is
-    the exponential of the sparse N^2 x N^2 superoperator, applied to the
-    vectorized state (its size grows as the square of each jump's nonzeros).
+    the storage basis, where every jump operator L = diag(d) must be
+    diagonal (number dephasing is): it multiplies rho_ij by exp(h K_ij) with
+    K_ij = sum_L (d_i d_j^* - (|d_i|^2 + |d_j|^2)/2), which is
+    -(gamma/2)(n_i - n_j)^2 for number dephasing.
     """
 
     def __init__(self, hamiltonian: Operator, jump_ops: list[Operator]):
@@ -281,28 +270,15 @@ class _StrangStep:
         # a real H has real eigenvectors: each basis change is then real products
         self.vecs = prop.eigenvectors
         self.vecs_dag = np.ascontiguousarray(self.vecs.conj().T)
-        mats = [L.entries for L in jump_ops]
-        dim = len(self.energies)
-        self.rates = None
-        self.superop = None
-        if all(np.count_nonzero(m - np.diag(np.diagonal(m))) == 0 for m in mats):
-            rates = np.zeros((dim, dim), complex)
-            for m in mats:
-                d = np.diagonal(m)
-                w = np.abs(d) ** 2
-                rates += np.outer(d, d.conj()) - 0.5 * (w[:, None] + w[None, :])
-            self.rates = rates if rates.imag.any() else rates.real
-        else:
-            import scipy.sparse    # imported here: no config or CLI run needs it
-            # row-major vec: vec(A X B) = kron(A, B^T) vec(X)
-            eye = scipy.sparse.identity(dim, format="csr")
-            sup = scipy.sparse.csr_matrix((dim * dim, dim * dim), dtype=complex)
-            for m in mats:
-                j = scipy.sparse.csr_matrix(m)
-                jj = j.conj().T @ j
-                sup = sup + (scipy.sparse.kron(j, j.conj())
-                             - 0.5 * (scipy.sparse.kron(jj, eye) + scipy.sparse.kron(eye, jj.T)))
-            self.superop = sup.tocsr()
+        rates = np.zeros((len(self.energies),) * 2, complex)
+        for i, L in enumerate(jump_ops):
+            d = np.diagonal(L.entries)
+            if np.count_nonzero(L.entries - np.diag(d)):
+                raise SimulationError(f"jump operator {i} is not diagonal in the storage "
+                                      f"basis; only diagonal jumps are supported")
+            w = np.abs(d) ** 2
+            rates += np.outer(d, d.conj()) - 0.5 * (w[:, None] + w[None, :])
+        self.rates = rates if rates.imag.any() else rates.real
 
     def to_fock(self, sigma: np.ndarray) -> np.ndarray:
         return _congruence(self.vecs, sigma)
@@ -310,22 +286,16 @@ class _StrangStep:
     def to_eigen(self, rho: np.ndarray) -> np.ndarray:
         return _congruence(self.vecs_dag, rho)
 
-    def dissipate(self, rho: np.ndarray, h: float) -> np.ndarray:
-        if self.superop is None:
-            return np.exp(h * self.rates) * rho
-        from scipy.sparse.linalg import expm_multiply
-        return expm_multiply(h * self.superop, rho.ravel()).reshape(rho.shape)
-
     def __call__(self, sigma: np.ndarray, h: float) -> np.ndarray:
         if h == 0.0:
             return sigma
         p = np.exp(-0.5j * h * self.energies)
         half = np.outer(p, p.conj())
-        return half * self.to_eigen(self.dissipate(self.to_fock(half * sigma), h))
+        return half * self.to_eigen(np.exp(h * self.rates) * self.to_fock(half * sigma))
 
 
-def lindblad_evolve(hamiltonian: Operator, jump_ops, rho0: QuantumState, times,
-                    tol: float = 1e-8, observer=None, store_states: bool = True,
+def lindblad_evolve(hamiltonian: Operator, jump_ops, rho0: QuantumState | KetEnsemble,
+                    times, tol: float = 1e-8, observer=None, store_states: bool = True,
                     initial_step: float = 1e-2,
                     min_step: float = 1e-12) -> EvolutionResult:
     """Integrate the master equation with adaptive Strang splitting.
@@ -348,9 +318,9 @@ def lindblad_evolve(hamiltonian: Operator, jump_ops, rho0: QuantumState, times,
     times = np.asarray(list(times), float)
     if len(times) and times[0] < 0:
         raise StateError(f"output times must be >= 0, got {times[0]}")
-    back = np.flatnonzero(np.diff(times) < 0)
+    back = np.flatnonzero(np.diff(times) <= 0)
     if len(back):
-        raise StateError(f"output times must not decrease: {times[back[0] + 1]} "
+        raise StateError(f"output times must be strictly increasing: {times[back[0] + 1]} "
                          f"follows {times[back[0]]}")
     step = _StrangStep(hamiltonian, list(jump_ops))
     rho_start = rho0.density().astype(complex)

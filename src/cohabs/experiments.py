@@ -30,7 +30,7 @@ from . import models, observables, states
 from .errors import ConfigError
 from .evolution import (HamiltonianPropagator, lindblad_evolve, sequential_switch,
                         top_level_population, LEAKAGE_WARN)
-from .hilbert import KetEnsemble, partial_trace
+from .hilbert import partial_trace
 from .models import Interaction, ModelSpec, OSC_LABEL
 from .observables import DiagnosticsRecord, WignerGridSpec, diagnose
 from .states import InitialStateSpec
@@ -67,6 +67,8 @@ class ScheduleSpec:
             raise ConfigError("schedule needs at least one point")
         if not (math.isfinite(self.tau_max) and self.tau_max >= 0):
             raise ConfigError(f"schedule tau_max must be finite and >= 0, got {self.tau_max}")
+        if self.points > 1 and self.tau_max == 0:
+            raise ConfigError(f"a schedule of {self.points} points needs tau_max > 0")
 
     def to_dict(self) -> dict:
         if self.kind == "switch":
@@ -274,7 +276,7 @@ def _evolve(config: ScenarioConfig, cutoff: int, taus, observe,
                                    [model.coupling(s.order) for s in segs],
                                    [s.tau / scale for s in segs], state0)
         for t, state in zip(result.times, result.states):
-            observe(t, KetEnsemble.from_state(state))
+            observe(t, state)
         taus = np.cumsum([s.tau for s in segs])
         return taus, taus / scale
     if taus is None:
@@ -288,7 +290,7 @@ def _evolve(config: ScenarioConfig, cutoff: int, taus, observe,
         prop = propagators.get(cutoff)
         if prop is None:
             prop = propagators[cutoff] = _propagator(model)
-        initial = prop.expand(KetEnsemble.from_state(state0))
+        initial = prop.expand(state0)
         for t in times:
             observe(t, prop.state_at(initial, float(t)))
     return taus, times
@@ -674,7 +676,7 @@ def sweep(config: ScenarioConfig, jobs: int = 1,
         axes={axis: [_AXES[axis][0](v) for v in config.sweep[axis]] for axis in names},
         points=runs,
         argmax={**best.coords, "max_coherence": best.max_coherence,
-                "tau_at_max": best.tau_at_max},
+                "tau_at_max": best.tau_at_max, **reported},
         convergence=[{**r.coords, "shift": r.convergence_shift, "converged": r.converged}
                      for r in runs],
     )
@@ -688,7 +690,6 @@ def sweep(config: ScenarioConfig, jobs: int = 1,
                 coord = ",".join(f"{r.coords[c]}" for c in cols)
                 fh.write(f"{coord},{r.max_coherence:.12g},{r.tau_at_max:.12g},"
                          f"{r.convergence_shift:.12g}\n")
-    result.argmax.update(reported)      # printed, but not in <stem>_summary.json
     return result
 
 

@@ -8,8 +8,11 @@ Conventions (fixed once, used everywhere):
 * Composite indices follow the layout's factor order via Kronecker products,
   i.e. the first factor varies slowest.
 
-Operators and states are immutable after construction (their arrays are
-marked read-only), so they can be shared freely between worker threads.
+States come in two types.  A `KetEnsemble` holds every input state and every
+state of a unitary run as a block of kets; a `QuantumState` holds the dense
+density matrix of a dephased (master-equation) run.  Operators and states
+are immutable after construction (their arrays are marked read-only), so
+they can be shared freely between worker threads.
 """
 
 from __future__ import annotations
@@ -160,46 +163,32 @@ class Operator:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """Pure state vector or density matrix on a composite space.
+    """Density matrix on a composite space: the state of a dephased run.
 
-    Cheap invariants (norm / trace / hermiticity) are validated on
-    construction.  Positivity needs an eigendecomposition and is validated on
-    demand via :meth:`validate_positive`, which integrators call on their
-    output points.
+    Cheap invariants (trace / hermiticity) are validated on construction.
+    Positivity needs an eigendecomposition and is validated on demand via
+    :meth:`validate_positive`, which integrators call on their output points.
     """
 
     layout: SpaceLayout
     data: np.ndarray
-    norm_atol: float = NORM_ATOL
     trace_atol: float = TRACE_ATOL
 
     def __post_init__(self):
         n = self.layout.total_dim
         d = np.asarray(self.data, complex)
-        if d.shape == (n,):
-            nrm = np.linalg.norm(d)
-            if abs(nrm - 1.0) > self.norm_atol:
-                raise StateError(f"state vector norm {nrm!r} deviates from 1")
-        elif d.shape == (n, n):
-            tr = np.trace(d)
-            if abs(tr - 1.0) > self.trace_atol:
-                raise StateError(f"density matrix trace {tr!r} deviates from 1")
-            herm_dev = np.max(np.abs(d - d.conj().T))
-            if herm_dev > 100 * HERMITIAN_ATOL:
-                raise StateError(f"density matrix hermiticity deviation {herm_dev:.3e}")
-        else:
-            raise LayoutError(f"state data shape {d.shape} fits neither vector ({n},) "
-                              f"nor density matrix ({n}, {n})")
+        if d.shape != (n, n):
+            raise LayoutError(f"density matrix shape {d.shape} does not match "
+                              f"layout dim ({n}, {n})")
+        tr = np.trace(d)
+        if abs(tr - 1.0) > self.trace_atol:
+            raise StateError(f"density matrix trace {tr!r} deviates from 1")
+        herm_dev = np.max(np.abs(d - d.conj().T))
+        if herm_dev > 100 * HERMITIAN_ATOL:
+            raise StateError(f"density matrix hermiticity deviation {herm_dev:.3e}")
         object.__setattr__(self, "data", _frozen(d))
 
-    @property
-    def is_vector(self) -> bool:
-        return self.data.ndim == 1
-
     def density(self) -> np.ndarray:
-        """Density-matrix representation as a plain array."""
-        if self.is_vector:
-            return np.outer(self.data, self.data.conj())
         return np.asarray(self.data)
 
     def validate_positive(self, atol: float = PSD_ATOL) -> float:
@@ -215,36 +204,22 @@ class KetEnsemble:
     """State rho = sum_k w_k |psi_k><psi_k| held as the columns
     sqrt(w_k) |psi_k> of one (D, K) matrix, so that rho = kets kets^dag.
 
-    A pure state is K = 1, a state diagonal in the product basis has one
-    column per nonzero population.  Unitary propagation acts on the K
-    columns, and a partial trace only regroups them (see `partial_trace`).
-    `is_vector` marks a single ket, as it does for `QuantumState`.
+    Every input state and every state of a unitary run is one: a pure state
+    is K = 1, a state diagonal in the product basis has one column per
+    nonzero population.  Unitary propagation acts on the K columns, and a
+    partial trace only regroups them (see `partial_trace`).  The trace,
+    ||kets||_F^2, is validated on construction.
     """
 
     layout: SpaceLayout
     kets: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "kets", _frozen(self.kets))
-
-    @staticmethod
-    def from_state(state: QuantumState) -> "KetEnsemble":
-        """The ensemble of a state: its vector, the populations of a diagonal
-        density matrix, or the eigendecomposition of any other."""
-        if state.is_vector:
-            return KetEnsemble(state.layout, state.data[:, None])
-        rho = state.data
-        pops = np.real(np.diagonal(rho))
-        if np.count_nonzero(rho) == np.count_nonzero(pops):     # nothing off the diagonal
-            weights, vecs, floor = pops, np.identity(len(pops)), 0.0
-        else:
-            weights, vecs = np.linalg.eigh(rho)
-            # eigenvalues within the solver's round-off of zero carry no state
-            floor = len(weights) * np.finfo(float).eps * weights.max()
-        if weights.min() < -PSD_ATOL:
-            raise StateError(f"density matrix has eigenvalue {weights.min():.3e}")
-        keep = weights > floor
-        return KetEnsemble(state.layout, vecs[:, keep] * np.sqrt(weights[keep]))
+        kets = _frozen(self.kets)
+        tr = np.vdot(kets, kets).real
+        if abs(tr - 1.0) > NORM_ATOL:
+            raise StateError(f"ket ensemble trace {tr!r} deviates from 1")
+        object.__setattr__(self, "kets", kets)
 
     @property
     def is_vector(self) -> bool:
@@ -319,8 +294,8 @@ def embed(op: Operator, layout: SpaceLayout) -> Operator:
     return tensor_all(parts)
 
 
-def basis_state(layout: SpaceLayout, occupations: dict[str, int]) -> QuantumState:
-    """Product basis vector |n_1, n_2, ...> given per-factor indices."""
+def basis_state(layout: SpaceLayout, occupations: dict[str, int]) -> KetEnsemble:
+    """Product basis ket |n_1, n_2, ...> given per-factor indices."""
     vecs = []
     for lab, d in layout.factors:
         idx = occupations.get(lab, 0)
@@ -329,15 +304,15 @@ def basis_state(layout: SpaceLayout, occupations: dict[str, int]) -> QuantumStat
         v = np.zeros(d, complex)
         v[idx] = 1.0
         vecs.append(v)
-    return QuantumState(layout, reduce(np.kron, vecs))
+    return KetEnsemble(layout, reduce(np.kron, vecs)[:, None])
 
 
 def partial_trace(state: QuantumState | KetEnsemble, keep: str):
-    """Reduced state on the kept factor.
+    """Reduced state on the kept factor, of the same type as `state`.
 
-    A QuantumState gives a density-matrix QuantumState.  A KetEnsemble gives
-    the ensemble Phi of the kept factor, rho = Phi Phi^dag: its kets with the
-    kept axis moved first, one column per index of the other factors.
+    A KetEnsemble gives the ensemble Phi of the kept factor, rho = Phi Phi^dag:
+    its kets with the kept axis moved first, one column per index of the
+    other factors.  A QuantumState gives the contracted density matrix.
     """
     axis = state.layout.axis(keep)
     dims = state.layout.dims
@@ -346,16 +321,12 @@ def partial_trace(state: QuantumState | KetEnsemble, keep: str):
     if isinstance(state, KetEnsemble):
         kets = state.kets.reshape(dims + (-1,))
         return KetEnsemble(kept, np.moveaxis(kets, axis, 0).reshape(dk, -1))
-    if state.is_vector:
-        psi = partial_trace(KetEnsemble.from_state(state), keep).kets
-        rho = psi @ psi.conj().T
-    else:
-        nfac = len(dims)
-        rho_t = state.data.reshape(dims + dims)
-        # contract every factor except `keep` between the ket and bra sides
-        idx_ket = list(range(nfac))
-        idx_bra = list(range(nfac))
-        idx_bra = [i + nfac if i == axis else i for i in idx_bra]
-        rho = np.einsum(rho_t, idx_ket + idx_bra, [axis, axis + nfac])
+    nfac = len(dims)
+    rho_t = state.data.reshape(dims + dims)
+    # contract every factor except `keep` between the ket and bra sides
+    idx_ket = list(range(nfac))
+    idx_bra = list(range(nfac))
+    idx_bra = [i + nfac if i == axis else i for i in idx_bra]
+    rho = np.einsum(rho_t, idx_ket + idx_bra, [axis, axis + nfac])
     rho = 0.5 * (rho + rho.conj().T)
     return QuantumState(kept, rho, trace_atol=max(state.trace_atol, TRACE_ATOL))

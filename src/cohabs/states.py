@@ -1,7 +1,9 @@
 """Initial-state factory.
 
 Every kind except `coherent` is diagonal in the Fock basis (zero coherence by
-construction); composite states put the absorber in its ground state.
+construction); composite states put the absorber in its ground state.  Every
+state is built as a `KetEnsemble`: a pure factor is one ket column, a
+diagonal factor one column sqrt(p_m)|m> per nonzero population.
 Diagonal distributions are renormalized after truncation, guarded by a tail
 mass threshold so truncation cannot silently distort a state.
 """
@@ -9,12 +11,13 @@ mass threshold so truncation cannot silently distort a state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConfigError, TruncationError
-from .hilbert import QuantumState, SpaceLayout
+from .hilbert import KetEnsemble, SpaceLayout
 from .models import OSC_LABEL, PUMP_LABEL
 
 TAIL_MASS_ATOL = 1e-6
@@ -120,70 +123,62 @@ def coherent_amplitudes(beta: complex, dim: int) -> np.ndarray:
     return amp / np.linalg.norm(amp)
 
 
-def oscillator_state(spec: InitialStateSpec, dim: int):
-    """Single-factor state data: (vector, None) for pure, (None, matrix) for mixed."""
+def _diagonal_kets(pops: np.ndarray) -> np.ndarray:
+    """The columns sqrt(p_m)|m> of a Fock-diagonal state, one per nonzero p_m."""
+    nonzero = np.flatnonzero(pops)
+    kets = np.zeros((len(pops), len(nonzero)), complex)
+    kets[nonzero, np.arange(len(nonzero))] = np.sqrt(pops[nonzero])
+    return kets
+
+
+def oscillator_state(spec: InitialStateSpec, dim: int) -> np.ndarray:
+    """Single-factor ket columns (dim, K): one for a pure state, one per
+    nonzero population for a state diagonal in the Fock basis."""
     if spec.kind in ("fock", "ground"):
         n = spec.n if spec.kind == "fock" else 0
         if n >= dim:
             raise TruncationError(f"Fock index {n} does not fit cutoff {dim}")
-        vec = np.zeros(dim, complex)
-        vec[n] = 1.0
-        return vec, None
+        pops = np.zeros(dim)
+        pops[n] = 1.0
+        return _diagonal_kets(pops)
     if spec.kind == "coherent":
-        return coherent_amplitudes(spec.beta, dim), None
+        return coherent_amplitudes(spec.beta, dim)[:, None]
     if spec.kind == "thermal":
-        return None, np.diag(thermal_populations(spec.nbar, dim)).astype(complex)
+        return _diagonal_kets(thermal_populations(spec.nbar, dim))
     if spec.kind == "phase_randomized_coherent":
-        return None, np.diag(poisson_populations(spec.nbar, dim)).astype(complex)
+        return _diagonal_kets(poisson_populations(spec.nbar, dim))
     if spec.kind == "admixture":
         if spec.n >= dim:
             raise TruncationError(f"Fock index {spec.n} does not fit cutoff {dim}")
         pops = np.zeros(dim)
         pops[0] += spec.p
         pops[spec.n] += 1.0 - spec.p
-        return None, np.diag(pops).astype(complex)
+        return _diagonal_kets(pops)
     raise ConfigError(f"unknown kind {spec.kind!r}")
 
 
 # ---------------------------------------------------------------------------
 
 def make_state(spec: InitialStateSpec, layout: SpaceLayout,
-               pump_amplitude: complex | None = None) -> QuantumState:
-    """Composite initial state: absorber ground (x) oscillator state (x) pump.
+               pump_amplitude: complex | None = None) -> KetEnsemble:
+    """Composite initial state: absorber ground (x) oscillator state (x) pump,
+    as the Kronecker product of each factor's ket columns.
 
     The pump factor, when present in the layout, is filled with a coherent
     state of the given amplitude (vacuum when the amplitude is absent or 0).
     """
-    osc_dim = layout.dim(OSC_LABEL)
-    vec, mat = oscillator_state(spec, osc_dim)
-
-    parts_pure: list[np.ndarray] = []
+    parts = []
     for lab, d in layout.factors:
         if lab == OSC_LABEL:
-            parts_pure.append(vec if vec is not None else np.zeros(0))
+            parts.append(oscillator_state(spec, d))
         elif lab == PUMP_LABEL:
-            parts_pure.append(coherent_amplitudes(pump_amplitude or 0.0, d))
+            parts.append(coherent_amplitudes(pump_amplitude or 0.0, d)[:, None])
         else:
-            g = np.zeros(d, complex)
-            g[0] = 1.0
-            parts_pure.append(g)
-
-    if vec is not None:
-        out = parts_pure[0]
-        for part in parts_pure[1:]:
-            out = np.kron(out, part)
-        return QuantumState(layout, out)
-
-    out_m = None
-    for (lab, d), part in zip(layout.factors, parts_pure):
-        block = mat if lab == OSC_LABEL else np.outer(part, part.conj())
-        out_m = block if out_m is None else np.kron(out_m, block)
-    return QuantumState(layout, out_m)
+            parts.append(np.identity(d, complex)[:, :1])     # ground state
+    return KetEnsemble(layout, reduce(np.kron, parts))
 
 
 def single_mode_state(spec: InitialStateSpec, dim: int,
-                      label: str = OSC_LABEL) -> QuantumState:
+                      label: str = OSC_LABEL) -> KetEnsemble:
     """Oscillator-only state, mostly for direct diagnostics and tests."""
-    vec, mat = oscillator_state(spec, dim)
-    layout = SpaceLayout.single(label, dim)
-    return QuantumState(layout, vec if vec is not None else mat)
+    return KetEnsemble(SpaceLayout.single(label, dim), oscillator_state(spec, dim))

@@ -20,3 +20,10 @@ def random_density(rng, dim: int) -> np.ndarray:
 def random_ket(rng, dim: int) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def random_kets(rng, dim: int, k: int) -> np.ndarray:
+    """(dim, k) columns of a random ensemble, normalized so that kets kets^dag
+    has unit trace."""
+    a = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+    return a / np.linalg.norm(a)

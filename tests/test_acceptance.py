@@ -42,7 +42,7 @@ def report(num: str, ok: bool, detail: str) -> None:
 
 
 def osc_density(state):
-    return partial_trace(state, "osc").data
+    return partial_trace(state, "osc").density()
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +325,16 @@ def test_criterion_11_property_suite():
     co = evolution.switch_coefficients(7, 1.0, 0.1, 15.7)
     seq = evolution.sequential_switch([1, 2], [1.0, 0.1], [15.7, 15.7], psi0)
     checks["switch_amplitudes"] = np.max(np.abs(
-        co.state(20).data - seq.states[-1].data)) < 1e-9
+        co.state(20).kets - seq.states[-1].kets)) < 1e-9
 
     h = models.build_hamiltonian(spec)
     res = evolution.unitary_evolve(h, psi0, np.linspace(0.0, 15.0, 16))
-    checks["unitarity"] = all(abs(np.linalg.norm(s.data) - 1) < 1e-10
+    checks["unitarity"] = all(abs(np.linalg.norm(s.kets) - 1) < 1e-10
                               for s in res.states)
     red = partial_trace(res.states[-1], "osc")
     checks["reduced_hermitian_unit_trace"] = (
-        abs(np.trace(red.data) - 1) < 1e-12
-        and np.max(np.abs(red.data - red.data.conj().T)) < 1e-12)
+        abs(np.trace(red.density()) - 1) < 1e-12
+        and np.max(np.abs(red.density() - red.density().conj().T)) < 1e-12)
 
     vac = np.zeros((10, 10), complex)
     vac[0, 0] = 1.0

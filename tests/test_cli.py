@@ -85,6 +85,19 @@ class TestDispatch:
             assert code == 0
             assert len(json.loads(out)["points"]) == points
 
+    @pytest.mark.parametrize("stem, axes", [
+        ("landscape", {"n": [2], "G": [0.1, 1.0]}),
+        ("weak_scan", {"omega": [0.0, 0.5], "Omega": [0.0, 0.5]}),
+    ])
+    def test_sweep_summary_file_matches_printed(self, tmp_path, capsys, stem, axes):
+        doc = tiny_doc(sweep=axes, schedule={"type": "continuous",
+                                             "tau_max": 2 * math.pi, "points": 21})
+        out = tmp_path / "out"
+        code, summary = run_json(capsys, ["sweep", "--config", write_config(tmp_path, doc),
+                                          "--output", str(out)])
+        assert code == 0
+        assert json.loads((out / f"{stem}_summary.json").read_text()) == summary
+
     def test_sweep_without_axes_is_scenario(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tiny_doc())
         code, summary = run_json(capsys, ["sweep", "--config", cfg])
@@ -190,6 +203,14 @@ class TestExitCodes:
         argv = [command, "--config", write_config(tmp_path, doc)]
         for pair in overrides:
             argv += ["--set", pair]
+        assert dispatch(argv) == 2
+
+    @pytest.mark.parametrize("config", ["appendixC_dephasing", "fig1"])
+    def test_repeated_output_times_rejected(self, capsys, config):
+        # tau_max = 0 with several points asks for the same time more than once
+        argv = ["evolve", "--config", str(CONFIGS / f"{config}.json"),
+                "--set", "model.cutoff=20", "--set", "schedule.tau_max=0",
+                "--set", "schedule.points=3"]
         assert dispatch(argv) == 2
 
     @pytest.mark.parametrize("tol", ["-1e-7", "0", "nan"])

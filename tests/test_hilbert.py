@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cohabs.errors import DimensionError, LayoutError, StateError
-from cohabs.hilbert import (Operator, QuantumState, SpaceLayout, annihilation,
+from cohabs.hilbert import (KetEnsemble, Operator, QuantumState, SpaceLayout, annihilation,
                             basis_state, embed, identity, number_operator,
                             partial_trace, qubit_operators, tensor)
 from conftest import random_density, random_ket
@@ -73,7 +73,7 @@ class TestTensor:
         _, _, sz = qubit_operators("absorber")
         op = tensor(sz, identity(SpaceLayout.single("osc", 5)))
         ket = basis_state(op.layout, {"absorber": 0, "osc": 3})
-        assert np.allclose(op.entries @ ket.data, -ket.data)
+        assert np.allclose(op.entries @ ket.kets, -ket.kets)
 
     def test_mixed_product_property(self, rng):
         sp, sm, _ = qubit_operators("absorber")
@@ -107,14 +107,14 @@ class TestPartialTrace:
         red = partial_trace(psi, "osc")
         expected = np.zeros((6, 6), complex)
         expected[4, 4] = 1.0
-        assert np.allclose(red.data, expected, atol=1e-14)
+        assert np.allclose(red.density(), expected, atol=1e-14)
 
     def test_maximally_entangled_pair(self):
         lay = qubit_osc(2)
         vec = np.zeros(4, complex)
         vec[0] = vec[3] = 1 / np.sqrt(2)      # (|g,0> + |e,1>)/sqrt(2)
-        red = partial_trace(QuantumState(lay, vec), "osc")
-        assert np.allclose(red.data, np.eye(2) / 2, atol=1e-14)
+        red = partial_trace(KetEnsemble(lay, vec[:, None]), "osc")
+        assert np.allclose(red.density(), np.eye(2) / 2, atol=1e-14)
 
     def test_four_component_branch_expansion(self, rng):
         # reduced state of |g>(a|n> + b|n+1>) + |e>(c|n-1> + d|n-2>) equals
@@ -125,13 +125,13 @@ class TestPartialTrace:
         vec = np.zeros(2 * cutoff, complex)
         vec[n], vec[n + 1] = a, b
         vec[cutoff + n - 1], vec[cutoff + n - 2] = c, d
-        red = partial_trace(QuantumState(qubit_osc(cutoff), vec), "osc")
+        red = partial_trace(KetEnsemble(qubit_osc(cutoff), vec[:, None]), "osc")
         g_branch = np.zeros(cutoff, complex)
         g_branch[n], g_branch[n + 1] = a, b
         e_branch = np.zeros(cutoff, complex)
         e_branch[n - 1], e_branch[n - 2] = c, d
         expected = np.outer(g_branch, g_branch.conj()) + np.outer(e_branch, e_branch.conj())
-        assert np.allclose(red.data, expected, atol=1e-12)
+        assert np.allclose(red.density(), expected, atol=1e-12)
 
     def test_product_density_recovers_factor(self, rng):
         lay = SpaceLayout((("a", 3), ("b", 4)))
@@ -191,7 +191,7 @@ class TestValidation:
     def test_vector_norm_enforced(self):
         lay = SpaceLayout.single("a", 2)
         with pytest.raises(StateError):
-            QuantumState(lay, np.array([1.0, 1.0], complex))
+            KetEnsemble(lay, np.array([[1.0], [1.0]], complex))
 
     def test_density_trace_enforced(self):
         lay = SpaceLayout.single("a", 2)
@@ -208,7 +208,7 @@ class TestValidation:
     def test_states_are_frozen(self):
         psi = basis_state(qubit_osc(3), {})
         with pytest.raises(ValueError):
-            psi.data[0] = 0.0
+            psi.kets[0, 0] = 0.0
 
     @given(st.integers(min_value=2, max_value=9))
     def test_embed_matches_kron(self, dim):

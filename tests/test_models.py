@@ -150,7 +150,7 @@ class TestDetunedModel:
         psi0 = states.make_state(states.InitialStateSpec("fock", n=5), s.layout())
         res = evolution.unitary_evolve(h, psi0, np.linspace(0.0, 8.0, 9))
         for st in res.states:
-            red = partial_trace(st, "osc").data
+            red = partial_trace(st, "osc").density()
             off = red - np.diag(np.diagonal(red))
             assert np.max(np.abs(off)) < 1e-9
 

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from cohabs.errors import ConfigError, TruncationError
 from cohabs.models import Interaction, ModelSpec
 from cohabs.observables import coherence
-from cohabs.states import (InitialStateSpec, coherent_amplitudes, make_state,
+from cohabs.states import (KINDS, InitialStateSpec, coherent_amplitudes, make_state,
                            poisson_populations, single_mode_state,
                            thermal_populations)
 
@@ -27,8 +27,8 @@ class TestFactories:
 
     def test_degenerate_admixture_is_ground(self):
         st1 = single_mode_state(InitialStateSpec("admixture", n=7, p=1.0), 10)
-        assert st1.data[0, 0] == pytest.approx(1.0)
-        assert np.trace(st1.data).real == pytest.approx(1.0)
+        assert st1.density()[0, 0] == pytest.approx(1.0)
+        assert np.trace(st1.density()).real == pytest.approx(1.0)
 
     def test_thermal_mean_occupation(self):
         pops = thermal_populations(7.0, 120)
@@ -88,19 +88,19 @@ class TestCompositeAssembly:
 
     def test_absorber_starts_in_ground(self):
         st0 = make_state(InitialStateSpec("fock", n=4), self.layout())
-        vec = st0.data.reshape(2, 32)
+        vec = st0.kets[:, 0].reshape(2, 32)
         assert np.all(vec[1] == 0)
         assert abs(vec[0, 4]) == pytest.approx(1.0)
 
     def test_mixed_kind_gives_density(self):
         st0 = make_state(InitialStateSpec("thermal", nbar=1.0), self.layout())
         assert not st0.is_vector
-        assert np.trace(st0.data).real == pytest.approx(1.0)
+        assert np.trace(st0.density()).real == pytest.approx(1.0)
 
     def test_pump_factor_filled_with_coherent(self):
         st0 = make_state(InitialStateSpec("fock", n=2),
                          self.layout(pump=1.0 + 0j), pump_amplitude=1.0 + 0j)
-        vec = st0.data.reshape(2, 32, 14)
+        vec = st0.kets[:, 0].reshape(2, 32, 14)
         pump_marginal = np.abs(vec[0, 2]) ** 2
         expected = np.abs(coherent_amplitudes(1.0, 14)) ** 2
         assert np.allclose(pump_marginal, expected, atol=1e-12)
@@ -115,3 +115,53 @@ class TestCompositeAssembly:
         assert np.trace(rho).real == pytest.approx(1.0)
         assert rho[0, 0].real == pytest.approx(p)
         assert rho[4, 4].real == pytest.approx(1 - p)
+
+
+def factor_density(spec: InitialStateSpec, dim: int) -> np.ndarray:
+    """The oscillator density matrix of a spec, built from its populations or
+    amplitudes."""
+    if spec.kind == "coherent":
+        amp = coherent_amplitudes(spec.beta, dim)
+        return np.outer(amp, amp.conj())
+    pops = np.zeros(dim)
+    if spec.kind == "thermal":
+        pops = thermal_populations(spec.nbar, dim)
+    elif spec.kind == "phase_randomized_coherent":
+        pops = poisson_populations(spec.nbar, dim)
+    elif spec.kind == "admixture":
+        pops[0] += spec.p
+        pops[spec.n] += 1.0 - spec.p
+    else:
+        pops[spec.n if spec.kind == "fock" else 0] = 1.0
+    return np.diag(pops).astype(complex)
+
+
+class TestEnsembleAssembly:
+    CUTOFF, PUMP_DIM = 24, 12
+
+    @given(kind=st.sampled_from(KINDS), n=st.integers(0, CUTOFF - 1),
+           nbar=st.floats(0.0, 1.0), p=st.floats(0.0, 1.0),
+           beta=st.complex_numbers(max_magnitude=1.5),
+           pump=st.one_of(st.none(), st.complex_numbers(max_magnitude=1.0)))
+    def test_kets_are_the_product_of_factor_states(self, kind, n, nbar, p, beta, pump):
+        spec = InitialStateSpec(kind, n=n, nbar=nbar, p=p, beta=beta)
+        layout = ModelSpec(interactions=(Interaction(1, 1.0),), cutoff=self.CUTOFF,
+                           pump=pump, pump_dim=self.PUMP_DIM).layout()
+        state = make_state(spec, layout, pump_amplitude=pump)
+        ground = np.zeros((2, 2), complex)
+        ground[0, 0] = 1.0
+        osc = factor_density(spec, self.CUTOFF)
+        want = np.kron(ground, osc)
+        if pump is not None:
+            amp = coherent_amplitudes(pump, self.PUMP_DIM)
+            want = np.kron(want, np.outer(amp, amp.conj()))
+        assert np.allclose(state.kets @ state.kets.conj().T, want, atol=1e-14)
+        pure = kind == "coherent"
+        assert state.kets.shape[1] == (1 if pure else np.count_nonzero(np.diagonal(osc)))
+
+    def test_pumped_admixture_has_two_columns(self):
+        layout = ModelSpec(interactions=(Interaction(1, 1.0), Interaction(2, 0.1)),
+                           cutoff=16, pump=1.5 + 0j, pump_dim=16).layout()
+        state = make_state(InitialStateSpec("admixture", n=7, p=0.3), layout,
+                           pump_amplitude=1.5 + 0j)
+        assert state.kets.shape == (512, 2)
