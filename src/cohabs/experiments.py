@@ -176,12 +176,16 @@ class ScenarioConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def apply_overrides(self, pairs: list[str]) -> "ScenarioConfig":
-        """Apply `--set dotted.key=value` overrides onto the document."""
+        """Apply `--set dotted.key=value` overrides onto the document.  A
+        `model.cutoff` that would be ignored, because `cutoff_ladder` is kept
+        and its top cutoff differs, is an error."""
         doc = self.to_dict()
+        keys = set()
         for pair in pairs:
             if "=" not in pair:
                 raise ConfigError(f"override {pair!r} is not of the form key=value")
             key, raw = pair.split("=", 1)
+            keys.add(key)
             try:
                 value = json.loads(raw)
             except json.JSONDecodeError:
@@ -195,6 +199,12 @@ class ScenarioConfig:
             if parts[-1] not in node:
                 raise ConfigError(f"override key {key!r} does not exist in the config")
             node[parts[-1]] = value
+        ladder, cutoff = doc["cutoff_ladder"], doc["model"]["cutoff"]
+        if "model.cutoff" in keys and "cutoff_ladder" not in keys and ladder \
+                and ladder[-1] != cutoff:
+            raise ConfigError(f"model.cutoff={cutoff} would be ignored: runs use "
+                              f"cutoff_ladder {ladder}, whose top is {ladder[-1]}; "
+                              f"set cutoff_ladder as well")
         return ScenarioConfig.from_dict(doc)
 
 

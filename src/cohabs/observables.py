@@ -24,6 +24,7 @@ COHERENCE_FLOOR = -1e-10
 NORMALIZATION_ATOL = 0.02
 SHELL_RESIDUAL_ATOL = 1e-6
 SHELL_LEAKAGE_ATOL = 1e-4
+WIGNER_GATHER_BYTES = 1 << 20   # bound on each gathered block of wavefunction values
 
 
 def _as_density(rho) -> np.ndarray:
@@ -231,95 +232,95 @@ class WignerGrid:
         return float(self.p[1] - self.p[0])
 
 
-def _laguerre_series(level: int, x: np.ndarray, coeffs: np.ndarray,
-                     scale: np.ndarray) -> np.ndarray:
-    """Clenshaw evaluation of scale * sum_m c_m phi_m(x) for the
-    orthonormalized associated Laguerre family
+def _kets(rho) -> tuple[np.ndarray, np.ndarray]:
+    """Kets psi_k and real weights w_k with rho = sum_k w_k psi_k psi_k^dag:
+    a KetEnsemble's factor with unit weights, or the eigenvectors of a density
+    matrix with its signed eigenvalues, unclipped, so W stays linear in rho."""
+    if isinstance(rho, KetEnsemble):
+        return rho.kets, np.ones(rho.kets.shape[1])
+    weights, vecs = np.linalg.eigh(_as_density(rho))
+    return vecs, weights
 
-        phi_m(x) = (-1)^m sqrt(level! m! / (level+m)!) L_m^(level)(x),
 
-    which obeys phi_{m+1} = -[(2m+level+1-x) phi_m + sqrt(m(m+level)) phi_{m-1}]
-    / sqrt((m+1)(m+level+1)) with phi_0 = 1.  The scale factor is folded into
-    the coefficients so large arguments never overflow the recursion.
+def _support(dim: int) -> float:
+    """A radius past which the position wavefunctions of Fock states below
+    `dim` fall below 1e-20, and their Wigner functions further still: the
+    outermost turning point sqrt(2 dim + 1) plus a Gaussian margin."""
+    return math.sqrt(2.0 * dim + 1.0) + 8.0
 
-    `x` and `scale` are real of shape (R,).  The recursion coefficients are
-    real, so the complex series is carried as a real (2, R) array of its real
-    and imaginary parts, updated in preallocated buffers: the same values as
-    complex arithmetic with half the multiplications.  Returns complex (R,).
-    """
-    parts = np.stack([coeffs.real, coeffs.imag])[:, :, None]
-    b0, b1, b2, tmp = (np.zeros((2, len(x))) for _ in range(4))
-    alpha = np.empty(len(x))
-    for m in range(len(coeffs) - 1, -1, -1):
-        np.subtract(x, 2 * m + level + 1, out=alpha)
-        alpha /= math.sqrt((m + 1) * (m + level + 1))
-        beta = -math.sqrt((m + 1) * (m + level + 1)
-                          / ((m + 2) * (m + level + 2)))
-        np.multiply(parts[:, m], scale, out=b0)
-        b0 += np.multiply(alpha, b1, out=tmp)
-        b0 += np.multiply(beta, b2, out=tmp)
-        b0, b1, b2 = b2, b0, b1
-    series = np.empty(len(x), complex)
-    series.real, series.imag = b1
-    return series
+
+def _wavefunctions(q: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """(len(q), K) position wavefunctions <q|psi_k>, from the normalized
+    Hermite functions phi_n(q) = <q|n>: phi_0 = pi^(-1/4) exp(-q^2/2) and
+    phi_{n+1} = sqrt(2/(n+1)) q phi_n - sqrt(n/(n+1)) phi_{n-1}."""
+    phi = np.empty((kets.shape[0], len(q)))
+    phi[0] = math.pi ** -0.25 * np.exp(-0.5 * q * q)
+    prev = np.zeros(len(q))
+    for n in range(kets.shape[0] - 1):
+        phi[n + 1] = math.sqrt(2.0 / (n + 1)) * q * phi[n] - math.sqrt(n / (n + 1)) * prev
+        prev = phi[n]
+    return phi.T @ kets.real + 1j * (phi.T @ kets.imag)
+
+
+def _quadrature(kets: np.ndarray, weights: np.ndarray, x0: float, h: float,
+                stride: int, nx: int, ps: np.ndarray) -> np.ndarray:
+    """W(x, p), shape (nx, len(ps)), at x = x0 + i stride h for i < nx.
+
+    With F(x, y) = sum_k w_k psi_k(x - y) psi_k*(x + y), W = (1/pi) times
+    the integral of F e^{2ipy} dy.  The wavefunctions are evaluated once on
+    the lattice x0 + m h that holds every x +- y_j, y_j = j h.  On this
+    smooth, decaying integrand the trapezoid rule is exact but for aliased
+    images of W at p +- pi/h, which the caller's h puts off the support, and
+    for |y| past the support, where psi has vanished.  F(x, -y) = F(x, y)*
+    folds the sum onto y >= 0 as a real cos/sin transform.  The x-columns
+    are gathered in chunks of at most WIGNER_GATHER_BYTES."""
+    support = _support(kets.shape[0])
+    ny = math.ceil(support / h) + 1
+    q = x0 + h * np.arange(1 - ny, (nx - 1) * stride + ny)
+    psi = _wavefunctions(q, kets)
+    psi[np.abs(q) > support] = 0.0      # so W is exactly 0 for |x| past the support
+    weighted, conj = psi * weights, psi.conj()
+    steps = np.arange(ny)
+    phase = 2.0 * h * np.outer(steps, ps)
+    trapezoid = np.full((ny, 1), 2.0 * h / math.pi)
+    trapezoid[0] = h / math.pi
+    cos, sin = trapezoid * np.cos(phase), trapezoid * np.sin(phase)
+    centers = ny - 1 + stride * np.arange(nx)
+    chunk = max(1, WIGNER_GATHER_BYTES // (psi.itemsize * ny * psi.shape[1]))
+    out = np.empty((nx, len(ps)))
+    for i in range(0, nx, chunk):
+        at = centers[i:i + chunk, None]
+        f = np.einsum("cjk,cjk->cj", weighted[at - steps], conj[at + steps])
+        out[i:i + chunk] = f.real @ cos - f.imag @ sin
+    return out
 
 
 def wigner_values(rho, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """W(x, p) evaluated at paired coordinate arrays of any common shape.
-
-    The displaced-parity kernel is expanded over density-matrix diagonals.
-    With beta = sqrt(2) (x + i p) = |beta| e^{i theta} and B = |beta|^2,
-    diagonal offset L contributes
-
-        Re[ g_L(B) * beta^L exp(-B/4) / sqrt(L!) ],
-
-    a radial part times an angular part:
-
-    * Radial: g_L, the orthonormalized associated Laguerre series in B
-      evaluated by Clenshaw recursion and scaled by exp(-B/4), depends on B
-      alone.  It is computed once per exactly unique value of B (np.unique
-      over all points; a 201 x 201 grid has about 6-7k of them) and gathered
-      back onto the points.
-    * Angular: the offset factor beta^L exp(-B/4) / sqrt(L!), i.e. the
-      radial factor |beta|^L exp(-B/4) / sqrt(L!) times the phase
-      e^{i L theta}, is kept per point and advanced by one multiply by beta
-      per level.  Keeping it per point reproduces the point-by-point
-      arithmetic, so grids are bit-identical to evaluating every point.
-
-    The Gaussian envelope is split as exp(-B/4) * exp(-B/4) between the
-    Laguerre series and the offset factor, which keeps both within
-    floating-point range at large phase-space radius.
-    """
-    rho = _as_density(rho)
-    dim = rho.shape[0]
-    xs = np.asarray(xs, float)
-    ps = np.asarray(ps, float)
-    beta = math.sqrt(2.0) * (xs + 1j * ps)     # 2 alpha
-    shape = beta.shape
-    beta = beta.ravel()
-    radii2, inverse = np.unique(np.abs(beta) ** 2, return_inverse=True)
-    damp = np.exp(-0.25 * radii2)
-    acc = np.zeros_like(beta)
-    offset_factor = damp[inverse].astype(complex)  # beta^L exp(-B/4) / sqrt(L!)
-    for level in range(dim):
-        diag = np.diagonal(rho, offset=level).copy()
-        if level > 0:
-            diag = 2.0 * diag
-        acc += _laguerre_series(level, radii2, diag, damp)[inverse] * offset_factor
-        offset_factor = offset_factor * beta / math.sqrt(level + 1.0)
-    return np.real(acc).reshape(shape) / math.pi
+    """W(x, p) evaluated at paired coordinate arrays of any common shape: each
+    unique x gets its own lattice, with h set by the largest |p|."""
+    kets, weights = _kets(rho)
+    xs, ps = np.broadcast_arrays(np.asarray(xs, float), np.asarray(ps, float))
+    h = math.pi / (float(np.max(np.abs(ps))) + _support(kets.shape[0]))
+    flat_x, flat_p, out = xs.ravel(), ps.ravel(), np.empty(xs.size)
+    for x in np.unique(flat_x):
+        at = flat_x == x
+        out[at] = _quadrature(kets, weights, x, h, 1, 1, flat_p[at])[0]
+    return out.reshape(xs.shape)
 
 
 def wigner(rho, grid: WignerGridSpec | None = None) -> WignerGrid:
     """Wigner transform on a rectangular grid, with the normalization integral
-    recorded and a coverage warning when the extent misses 4 sqrt(mean_N+1)."""
-    rho = _as_density(rho)
+    recorded and a coverage warning when the extent misses 4 sqrt(mean_N+1).
+    The lattice step is h = dx / s, with s the least integer that keeps the
+    aliased images at p +- pi/h off the support."""
     if grid is None:
         grid = WignerGridSpec()
+    kets, weights = _kets(rho)
     ax = grid.axis()
-    x_mesh, p_mesh = np.meshgrid(ax, ax)
-    values = wigner_values(rho, x_mesh, p_mesh)
     dx = ax[1] - ax[0]
+    s = math.ceil(dx * (grid.extent + _support(kets.shape[0])) / math.pi)
+    values = np.ascontiguousarray(_quadrature(kets, weights, ax[0], dx / s, s,
+                                              grid.points, ax).T)
     norm = float(values.sum() * dx * dx)
     mean_n, _ = excitation_stats(rho)
     coverage = grid.extent < 4.0 * math.sqrt(mean_n + 1.0)
@@ -335,7 +336,6 @@ def negativity_volume(grid: WignerGrid) -> float:
 def radial_asymmetry(rho, radii, n_angles: int = 64) -> float:
     """Largest spread of W around any sampled circle; ~0 for Fock-diagonal
     states, whose Wigner functions are rotationally symmetric."""
-    rho = _as_density(rho)
     angles = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
     worst = 0.0
     for r in radii:
@@ -391,22 +391,23 @@ def diagnose(rho_osc, leakage: float = 0.0) -> DiagnosticsRecord:
 
 def save_wigner_text(grid: WignerGrid, path) -> None:
     """Plain-text matrix with axis header lines."""
+    lines = [" ".join(f"{v:.12g}" for v in row)
+             for row in (grid.x.tolist(), grid.p.tolist(), *grid.values.tolist())]
     with open(path, "w") as fh:
-        fh.write("# wigner grid: rows are fixed p, columns fixed x\n")
-        fh.write("# x: " + " ".join(f"{v:.12g}" for v in grid.x) + "\n")
-        fh.write("# p: " + " ".join(f"{v:.12g}" for v in grid.p) + "\n")
-        fh.write(f"# normalization_integral: {grid.normalization_integral:.12g}\n")
-        for row in grid.values:
-            fh.write(" ".join(f"{v:.12g}" for v in row) + "\n")
+        fh.write("# wigner grid: rows are fixed p, columns fixed x\n"
+                 f"# x: {lines[0]}\n# p: {lines[1]}\n"
+                 f"# normalization_integral: {grid.normalization_integral:.12g}\n"
+                 + "".join(line + "\n" for line in lines[2:]))
 
 
 def save_wigner_csv(grid: WignerGrid, path) -> None:
     """CSV triplets (x, p, W)."""
+    xs = [f"{x:.12g}" for x in grid.x.tolist()]
     with open(path, "w") as fh:
-        fh.write("x,p,W\n")
-        for j, p in enumerate(grid.p):
-            for i, x in enumerate(grid.x):
-                fh.write(f"{x:.12g},{p:.12g},{grid.values[j, i]:.12g}\n")
+        fh.write("x,p,W\n" + "".join(
+            f"{x},{p},{w:.12g}\n"
+            for p, row in zip((f"{p:.12g}" for p in grid.p.tolist()), grid.values.tolist())
+            for x, w in zip(xs, row)))
 
 
 def load_wigner_text(path) -> WignerGrid:

@@ -209,9 +209,22 @@ class TestExitCodes:
     def test_repeated_output_times_rejected(self, capsys, config):
         # tau_max = 0 with several points asks for the same time more than once
         argv = ["evolve", "--config", str(CONFIGS / f"{config}.json"),
-                "--set", "model.cutoff=20", "--set", "schedule.tau_max=0",
-                "--set", "schedule.points=3"]
+                "--set", "model.cutoff=20", "--set", "cutoff_ladder=[20]",
+                "--set", "schedule.tau_max=0", "--set", "schedule.points=3"]
         assert dispatch(argv) == 2
+        assert "needs tau_max > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evolve", "wigner"])
+    def test_cutoff_override_below_ladder_rejected(self, capsys, command):
+        # fig1 runs its ladder (40, 60): model.cutoff=20 alone would be ignored
+        argv = [command, "--config", str(CONFIGS / "fig1.json"), "--dry-run",
+                "--set", "model.cutoff=20"]
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert "model.cutoff=20" in err and "60" in err
+        assert dispatch(argv + ["--set", "cutoff_ladder=[20]"]) == 0
+        assert dispatch([command, "--config", str(CONFIGS / "fig1.json"), "--dry-run",
+                         "--set", "model.cutoff=60"]) == 0
 
     @pytest.mark.parametrize("tol", ["-1e-7", "0", "nan"])
     def test_bad_lindblad_tol_fails_dry_run(self, tmp_path, capsys, tol):

@@ -6,11 +6,13 @@ from hypothesis import given, strategies as st
 import scipy.linalg
 from scipy.integrate import quad
 
+from cohabs import observables
 from cohabs.errors import ShellRemovalError, StateError
 from cohabs.evolution import HamiltonianPropagator, top_level_population
-from cohabs.hilbert import KetEnsemble, QuantumState, basis_state, partial_trace
+from cohabs.hilbert import (KetEnsemble, QuantumState, SpaceLayout, basis_state,
+                            partial_trace)
 from cohabs.models import Interaction, ModelSpec, build_hamiltonian
-from cohabs.observables import (WignerGridSpec,
+from cohabs.observables import (WignerGrid, WignerGridSpec,
                                 coherence, diagnose, excitation_stats,
                                 load_wigner_text, negativity_volume,
                                 quadrature_stats, radial_asymmetry,
@@ -228,8 +230,22 @@ class TestWigner:
             mine = wigner_values(rho, x_mesh, p_mesh)
             assert mine.shape == x_mesh.shape
             assert np.max(np.abs(mine - direct_wigner(rho, x_mesh, p_mesh))) <= 1e-12
+        # the rectangular grid, all of whose x +- y share one lattice
+        grid = wigner(rho, WignerGridSpec(extent, 2 * nx + 1))
+        x_mesh, p_mesh = np.meshgrid(grid.x, grid.p)
+        assert np.max(np.abs(grid.values - direct_wigner(rho, x_mesh, p_mesh))) <= 1e-12
 
-    def test_shared_radii_match_direct_formula(self, rng):
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 30),
+           rank=st.integers(1, 4), extent=st.floats(1.0, 12.0), points=st.integers(2, 41))
+    def test_ensemble_and_density_grids_agree(self, seed, dim, rank, extent, points):
+        # kets used directly against the eigendecomposition of rho = Phi Phi^dag
+        kets = np.random.default_rng(seed).standard_normal((dim, rank, 2)) @ [1.0, 1j]
+        ensemble = KetEnsemble(SpaceLayout.single("osc", dim), kets / np.linalg.norm(kets))
+        spec = WignerGridSpec(extent, points)
+        dense = wigner(ensemble.density(), spec)
+        assert np.max(np.abs(wigner(ensemble, spec).values - dense.values)) <= 1e-13
+
+    def test_shared_radii_match_direct_formula(self, rng, monkeypatch):
         # an exactly symmetric half-integer lattice: up to eight points per radius
         rho = random_density(rng, 9)
         x_mesh, p_mesh = np.meshgrid(np.arange(-8, 9) * 0.5, np.arange(-8, 9) * 0.5)
@@ -237,9 +253,13 @@ class TestWigner:
         assert len(radii) < x_mesh.size / 4
         mine = wigner_values(rho, x_mesh, p_mesh)
         assert np.max(np.abs(mine - direct_wigner(rho, x_mesh, p_mesh))) <= 1e-12
-        # sharing a radius changes no arithmetic: equal bits to one point at a time
-        pointwise = [wigner_values(rho, x, p) for x, p in zip(x_mesh.flat, p_mesh.flat)]
-        assert np.array_equal(mine.ravel(), pointwise)
+        # the same points as a grid, whole and gathered one and two x-columns
+        # at a time (9 kets over 76 steps of y): chunks only regroup BLAS sums
+        whole = wigner(rho, WignerGridSpec(4.0, 17)).values
+        assert np.max(np.abs(whole - direct_wigner(rho, x_mesh, p_mesh))) <= 1e-12
+        for budget in (1, 1 << 15):
+            monkeypatch.setattr(observables, "WIGNER_GATHER_BYTES", budget)
+            assert np.max(np.abs(wigner(rho, WignerGridSpec(4.0, 17)).values - whole)) <= 1e-15
 
     def test_fock_diagonal_has_no_angular_spread(self, rng):
         pops = rng.random(10)
@@ -333,6 +353,29 @@ class TestSerialization:
         save_wigner_csv(grid, a)
         save_wigner_csv(grid, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_golden_bytes(self, tmp_path):
+        # the exact text of both writers, with a signed zero and extreme exponents
+        grid = WignerGrid(np.array([-1.0, 0.0, 0.5]), np.array([-0.25, 1 / 3]),
+                          np.array([[-0.0, 1e-300, 1e300], [0.1, -2.5e-17, 1 / 3]]),
+                          0.987654321)
+        save_wigner_text(grid, tmp_path / "w.txt")
+        save_wigner_csv(grid, tmp_path / "w.csv")
+        assert (tmp_path / "w.txt").read_bytes() == (
+            b"# wigner grid: rows are fixed p, columns fixed x\n"
+            b"# x: -1 0 0.5\n"
+            b"# p: -0.25 0.333333333333\n"
+            b"# normalization_integral: 0.987654321\n"
+            b"-0 1e-300 1e+300\n"
+            b"0.1 -2.5e-17 0.333333333333\n")
+        assert (tmp_path / "w.csv").read_bytes() == (
+            b"x,p,W\n"
+            b"-1,-0.25,-0\n"
+            b"0,-0.25,1e-300\n"
+            b"0.5,-0.25,1e+300\n"
+            b"-1,0.333333333333,0.1\n"
+            b"0,0.333333333333,-2.5e-17\n"
+            b"0.5,0.333333333333,0.333333333333\n")
 
     def test_csv_triplets(self, tmp_path):
         grid = wigner(fock_dm(0, 6), WignerGridSpec(2.0, 11))
