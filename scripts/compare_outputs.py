@@ -5,8 +5,9 @@ Every `series.csv`, `summary.json` and `config.json`, and every other file
 that is not a Wigner grid, must be byte-equal.  Wigner grids (`wigner*.txt`
 and `wigner*.csv`) are parsed: their axes must agree exactly and their values
 and normalization integrals to within --wigner-atol, because `%.12g` text may
-legitimately differ in the last printed digit.  A file present in only one
-tree is a mismatch.
+legitimately differ in the last printed digit (one unit there is 1e-12 for
+0.1 <= |W| < 1; the error of parsing the decimal text is allowed for).  A
+file present in only one tree is a mismatch.
 
 A text file whose bytes differ but whose non-numeric text is the same is
 also compared number by number, and its largest absolute difference is
@@ -34,22 +35,33 @@ def _is_wigner(rel: pathlib.Path) -> bool:
     return rel.name.startswith("wigner") and rel.suffix in (".txt", ".csv")
 
 
-def _wigner_difference(a: pathlib.Path, b: pathlib.Path) -> tuple[float, bool]:
-    """Largest absolute difference of the grid values (and normalization
-    integral), and whether the coordinate axes agree exactly."""
+def _excess(va: np.ndarray, vb: np.ndarray) -> tuple[float, float]:
+    """Largest |a - b|, and the largest amount by which |a - b| exceeds the
+    error of parsing the two decimal texts.  Each parse is off by up to half
+    an ulp, so two texts whose decimal difference is exactly atol can read
+    as atol + eps (|a| + |b|): one unit in the 12th digit of two values near
+    0.1 reads as 1.0000056e-12."""
+    diff = np.abs(va - vb)
+    slack = np.finfo(float).eps * (np.abs(va) + np.abs(vb))
+    return float(np.max(diff, initial=0.0)), float(np.max(diff - slack, initial=0.0))
+
+
+def _wigner_difference(a: pathlib.Path, b: pathlib.Path) -> tuple[float, float, bool]:
+    """`_excess` of the grid values (and normalization integral), and whether
+    the coordinate axes agree exactly."""
     if a.suffix == ".txt":
         ga, gb = load_wigner_text(a), load_wigner_text(b)
         if ga.values.shape != gb.values.shape:
-            return float("inf"), False
+            return float("inf"), float("inf"), False
         axes_equal = np.array_equal(ga.x, gb.x) and np.array_equal(ga.p, gb.p)
-        diff = max(float(np.max(np.abs(ga.values - gb.values))),
-                   abs(ga.normalization_integral - gb.normalization_integral))
-        return diff, axes_equal
+        diff, excess = _excess(np.append(ga.values, ga.normalization_integral),
+                               np.append(gb.values, gb.normalization_integral))
+        return diff, excess, axes_equal
     ta = np.loadtxt(a, delimiter=",", skiprows=1, ndmin=2)
     tb = np.loadtxt(b, delimiter=",", skiprows=1, ndmin=2)
     if ta.shape != tb.shape:
-        return float("inf"), False
-    return float(np.max(np.abs(ta[:, 2] - tb[:, 2]))), np.array_equal(ta[:, :2], tb[:, :2])
+        return float("inf"), float("inf"), False
+    return *_excess(ta[:, 2], tb[:, 2]), np.array_equal(ta[:, :2], tb[:, :2])
 
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -79,9 +91,9 @@ def compare(root_a: pathlib.Path, root_b: pathlib.Path, wigner_atol: float) -> b
     for rel in sorted(files_a & files_b):
         a, b = root_a / rel, root_b / rel
         if _is_wigner(rel):
-            diff, axes_equal = _wigner_difference(a, b)
+            diff, excess, axes_equal = _wigner_difference(a, b)
             worst = max(worst, diff)
-            good = axes_equal and diff <= wigner_atol
+            good = axes_equal and excess <= wigner_atol
             print(f"{'OK' if good else 'DIFFER':8} {rel} max|dW|={diff:.3e}"
                   + ("" if axes_equal else " (axes differ)"))
         else:

@@ -7,11 +7,11 @@ exact for arbitrary times and amortizes across the hundreds of output points
 of a sweep.  Unitary runs take and give `KetEnsemble`s: a mixed input that
 is diagonal in the Fock basis costs one column per nonzero population, never
 a dense density matrix.  The master equation evolves the dense density
-matrix and gives `QuantumState`s.  It is integrated by an adaptive Strang
-splitting: every step composes the exact unitary (a phase in the eigenbasis
-of H) with the exact dissipative semigroup of jump operators diagonal in the
-storage basis, so every step is a CPTP map and the state stays positive at
-any tolerance.
+matrix, held as one real matrix, and gives `QuantumState`s.  It is
+integrated by an adaptive Strang splitting: every step composes the exact
+unitary (a phase in the eigenbasis of H) with the exact dissipative
+semigroup of jump operators diagonal in the storage basis, so every step is
+a CPTP map and the state stays positive at any tolerance.
 """
 
 from __future__ import annotations
@@ -240,14 +240,22 @@ def bch_first_order(g1: float, g2: float, t: float,
 # ---------------------------------------------------------------------------
 # Lindblad master equation
 
-def _congruence(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a x a^dag for a complex x; four real products when a is real."""
+def _decode(m: np.ndarray) -> np.ndarray:
+    """rho = S + iA from its real encoding M = S + A; exactly Hermitian."""
+    return 0.5 * (m + m.T) + 0.5j * (m - m.T)
+
+
+def _congruence(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a rho a^dag on encodings: a real `a` keeps S and A apart, so two real products."""
     if np.isrealobj(a):
-        out = np.empty_like(x)
-        out.real = a @ x.real @ a.T
-        out.imag = a @ x.imag @ a.T
-        return out
-    return a @ x @ a.conj().T
+        return a @ m @ a.T
+    rho = a @ _decode(m) @ a.conj().T
+    return rho.real + rho.imag
+
+
+def _hadamard(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Z o rho, elementwise, for a Hermitian Z, on encodings."""
+    return z * m if np.isrealobj(z) else z.real * m + z.imag * m.T
 
 
 class _StrangStep:
@@ -255,21 +263,23 @@ class _StrangStep:
 
         drho/dt = -i[H, rho] + sum_L (L rho L^dag - {L^dag L, rho}/2),
 
-    on density matrices held in the eigenbasis of H.  Each factor is an exact
-    CPTP map, so every step is one too.  U is exp(-iHt), an elementwise phase
-    in that basis.  D is the exact semigroup of the dissipator, applied in
-    the storage basis, where every jump operator L = diag(d) must be
-    diagonal (number dephasing is): it multiplies rho_ij by exp(h K_ij) with
-    K_ij = sum_L (d_i d_j^* - (|d_i|^2 + |d_j|^2)/2), which is
-    -(gamma/2)(n_i - n_j)^2 for number dephasing.
+    for H = V diag(E) V^dag and jump operators L = diag(d) diagonal in the
+    storage basis (number dephasing is).  It maps sigma, held in the
+    eigenbasis of H, to P o V^dag (exp(hK) o V (P o sigma) V^dag) V, with o
+    the elementwise product.  U(h/2) is the phase P_ij = p_i p_j^*, where
+    p = exp(-ihE/2); D(h) is the exact dissipative semigroup, where K_ij =
+    sum_L (d_i d_j^* - (|d_i|^2 + |d_j|^2)/2), -(gamma/2)(n_i - n_j)^2 for
+    number dephasing.  Each factor is CPTP, so every step is one too.
+
+    rho = S + iA (S symmetric, A antisymmetric) is held as the real M = S + A.
+    A real V keeps S and A apart, so a basis change is V M V^T (two real
+    products), Z o rho for a Hermitian Z is Re Z o M + Im Z o M^T, and
+    ||M||_F = ||rho||_F.
     """
 
     def __init__(self, hamiltonian: Operator, jump_ops: list[Operator]):
         prop = HamiltonianPropagator(hamiltonian)
-        self.energies = prop.eigenvalues
-        # a real H has real eigenvectors: each basis change is then real products
-        self.vecs = prop.eigenvectors
-        self.vecs_dag = np.ascontiguousarray(self.vecs.conj().T)
+        self.energies, self.vecs = prop.eigenvalues, prop.eigenvectors
         rates = np.zeros((len(self.energies),) * 2, complex)
         for i, L in enumerate(jump_ops):
             d = np.diagonal(L.entries)
@@ -280,18 +290,13 @@ class _StrangStep:
             rates += np.outer(d, d.conj()) - 0.5 * (w[:, None] + w[None, :])
         self.rates = rates if rates.imag.any() else rates.real
 
-    def to_fock(self, sigma: np.ndarray) -> np.ndarray:
-        return _congruence(self.vecs, sigma)
-
-    def to_eigen(self, rho: np.ndarray) -> np.ndarray:
-        return _congruence(self.vecs_dag, rho)
-
     def __call__(self, sigma: np.ndarray, h: float) -> np.ndarray:
         if h == 0.0:
             return sigma
         p = np.exp(-0.5j * h * self.energies)
         half = np.outer(p, p.conj())
-        return half * self.to_eigen(np.exp(h * self.rates) * self.to_fock(half * sigma))
+        rho = _hadamard(np.exp(h * self.rates), _congruence(self.vecs, _hadamard(half, sigma)))
+        return _hadamard(half, _congruence(self.vecs.conj().T, rho))
 
 
 def lindblad_evolve(hamiltonian: Operator, jump_ops, rho0: QuantumState | KetEnsemble,
@@ -323,8 +328,9 @@ def lindblad_evolve(hamiltonian: Operator, jump_ops, rho0: QuantumState | KetEns
         raise StateError(f"output times must be strictly increasing: {times[back[0] + 1]} "
                          f"follows {times[back[0]]}")
     step = _StrangStep(hamiltonian, list(jump_ops))
-    rho_start = rho0.density().astype(complex)
-    sigma = step.to_eigen(rho_start)
+    rho_start = rho0.density()
+    m_start = rho_start.real + rho_start.imag
+    sigma = _congruence(step.vecs.conj().T, m_start)
     layout = rho0.layout
     t = 0.0
     h = initial_step
@@ -337,19 +343,15 @@ def lindblad_evolve(hamiltonian: Operator, jump_ops, rho0: QuantumState | KetEns
             y2 = step(step(sigma, 0.5 * h), 0.5 * h)
             err = np.linalg.norm(y2 - y1) / 3.0
             if err <= tol:
-                sigma = 0.5 * (y2 + y2.conj().T)
+                sigma = y2
                 t += h
             factor = 0.9 * (tol / err) ** (1.0 / 3.0) if err > 0 else 2.0
             h = h * min(2.0, max(0.2, factor))
             if h < min_step:
                 raise IntegrationError("step size underflow", time_reached=t)
-        if t_out == 0.0:
-            # the identity map; the eigenbasis round trip would leave round-off in
-            rho = rho_start
-        else:
-            rho = step.to_fock(step(sigma, float(t_out) - t))
-            rho = 0.5 * (rho + rho.conj().T)
-        st = QuantumState(layout, rho, trace_atol=1e-8)
+        # t = 0 is the identity map; the eigenbasis round trip would leave round-off in
+        m = m_start if t_out == 0.0 else _congruence(step.vecs, step(sigma, float(t_out) - t))
+        st = QuantumState(layout, _decode(m), trace_atol=1e-8)
         try:
             st.validate_positive(atol=1e-7)
         except StateError as exc:

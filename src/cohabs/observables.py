@@ -391,23 +391,21 @@ def diagnose(rho_osc, leakage: float = 0.0) -> DiagnosticsRecord:
 
 def save_wigner_text(grid: WignerGrid, path) -> None:
     """Plain-text matrix with axis header lines."""
-    lines = [" ".join(f"{v:.12g}" for v in row)
-             for row in (grid.x.tolist(), grid.p.tolist(), *grid.values.tolist())]
+    x_row, p_row = (" ".join(["%.12g"] * len(axis)) + "\n" for axis in (grid.x, grid.p))
     with open(path, "w") as fh:
         fh.write("# wigner grid: rows are fixed p, columns fixed x\n"
-                 f"# x: {lines[0]}\n# p: {lines[1]}\n"
+                 f"# x: {x_row % tuple(grid.x.tolist())}# p: {p_row % tuple(grid.p.tolist())}"
                  f"# normalization_integral: {grid.normalization_integral:.12g}\n"
-                 + "".join(line + "\n" for line in lines[2:]))
+                 + "".join([x_row % tuple(w) for w in grid.values.tolist()]))
 
 
 def save_wigner_csv(grid: WignerGrid, path) -> None:
     """CSV triplets (x, p, W)."""
-    xs = [f"{x:.12g}" for x in grid.x.tolist()]
+    # x is formatted into the row template; each row then fills in p and W
+    row = "".join(["%.12g,%%s,%%.12g\n" % x for x in grid.x.tolist()])
     with open(path, "w") as fh:
-        fh.write("x,p,W\n" + "".join(
-            f"{x},{p},{w:.12g}\n"
-            for p, row in zip((f"{p:.12g}" for p in grid.p.tolist()), grid.values.tolist())
-            for x, w in zip(xs, row)))
+        fh.write("x,p,W\n" + "".join([row.replace("%s", "%.12g" % p) % tuple(w)
+                                       for p, w in zip(grid.p.tolist(), grid.values.tolist())]))
 
 
 def load_wigner_text(path) -> WignerGrid:

@@ -39,3 +39,16 @@ def test_agreement_and_each_kind_of_difference(tmp_path, capsys):
     assert not compare_outputs.compare(e, write_tree(tmp_path / "f", values, '{"c": 1.25e-3}'),
                                        1e-12)
     assert "summary.json bytes differ, max|d|=2.500e-04" in capsys.readouterr().out
+
+
+def test_last_digit_flip_agrees_at_default_atol(tmp_path):
+    # one unit in the 12th significant digit of 0.1-scale values parses to
+    # 1.0000056e-12, above 1e-12: the decimal difference is what is compared
+    a = write_tree(tmp_path / "a", np.array([[0.123456789012, 0.5], [-0.1, 0.3]]), "{}")
+    b = write_tree(tmp_path / "b", np.array([[0.123456789013, 0.5], [-0.1, 0.3]]), "{}")
+    assert "0.123456789013" in (b / "wigner_max.txt").read_text()
+    assert abs(0.123456789013 - 0.123456789012) > 1e-12
+    assert compare_outputs.compare(a, b, 1e-12)
+    # two units are a real difference
+    c = write_tree(tmp_path / "c", np.array([[0.123456789014, 0.5], [-0.1, 0.3]]), "{}")
+    assert not compare_outputs.compare(a, c, 1e-12)

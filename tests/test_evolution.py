@@ -28,6 +28,18 @@ def fock_state(spec, n):
     return make_state(InitialStateSpec("fock", n=n), spec.layout())
 
 
+def gauge_transformed(h, rng):
+    """U H U^dag for a diagonal unitary U: still Hermitian, no longer real."""
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, h.dim))
+    return Operator(h.layout, phases[:, None] * h.entries * phases.conj()[None, :], True)
+
+
+def phased_jump(jump, rng):
+    """A diagonal jump operator with a random complex phase on each entry."""
+    d = np.diagonal(jump.entries) * np.exp(1j * rng.uniform(0, 2 * np.pi, jump.dim))
+    return Operator(jump.layout, np.diag(d), False)
+
+
 def vec(state):
     """The one ket of a pure ensemble."""
     assert state.is_vector
@@ -360,6 +372,7 @@ class TestLindblad:
         res = lindblad_evolve(h, jumps, psi0, np.linspace(0.25, 5.0, 20), tol=1e-3)
         for stt in res.states:
             assert np.linalg.eigvalsh(stt.data)[0] > -1e-12
+            assert np.array_equal(stt.data, stt.data.conj().T)
 
     def test_states_do_not_depend_on_the_output_grid(self, rng):
         s, h, jumps = self.small(cutoff=8)
@@ -374,15 +387,17 @@ class TestLindblad:
             assert np.array_equal(alone, in_grid)
             assert np.array_equal(alone, together.states[k].data)
 
-    @pytest.mark.parametrize("complex_h", [False, True])
-    def test_matches_exponential_of_vectorized_lindbladian(self, rng, complex_h):
+    @pytest.mark.parametrize("complex_h, complex_jump", [
+        pytest.param(False, False, id="False"), pytest.param(True, False, id="True"),
+        pytest.param(False, True, id="complex_jump")])
+    def test_matches_exponential_of_vectorized_lindbladian(self, rng, complex_h, complex_jump):
         s, h, jumps = self.small(cutoff=8, gamma=0.3)
         layout = s.layout()
         dim = layout.total_dim
         if complex_h:
-            # a diagonal unitary gauge: still Hermitian, no longer real
-            phases = np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
-            h = Operator(layout, phases[:, None] * h.entries * phases.conj()[None, :], True)
+            h = gauge_transformed(h, rng)
+        if complex_jump:
+            jumps = [phased_jump(jumps[0], rng)]
         rho0 = QuantumState(layout, random_density(rng, dim))
         # column-major vec: vec(A X B) = kron(B^T, A) vec(X)
         eye = np.eye(dim)
@@ -392,12 +407,47 @@ class TestLindblad:
             j = jump.entries
             jj = j.conj().T @ j
             gen += np.kron(j.conj(), j) - 0.5 * (np.kron(eye, jj) + np.kron(jj.T, eye))
-        times = [0.5, 2.0]
+        times = [0.0, 0.5, 2.0]
         res = lindblad_evolve(h, jumps, rho0, times, tol=1e-10)
         for t, stt in zip(times, res.states):
             exact = (scipy.linalg.expm(t * gen) @ rho0.data.ravel(order="F"))
             exact = exact.reshape((dim, dim), order="F")
             assert np.max(np.abs(stt.data - exact)) < 1e-7
+            assert np.array_equal(stt.data, stt.data.conj().T)
+
+
+class TestStrangStep:
+    """One step on the real encoding M = Re sigma + Im sigma against the
+    complex formula of the `_StrangStep` docstring."""
+
+    @given(seed=st.integers(0, 2**32 - 1), h=st.floats(1e-3, 2.0),
+           case=st.sampled_from(["real_h", "complex_h", "complex_jump"]))
+    def test_matches_complex_formula(self, seed, h, case):
+        rng = np.random.default_rng(seed)
+        s = two_body(cutoff=6, dephasing_rate=0.3)
+        layout = s.layout()
+        dim = layout.total_dim
+        ham, jumps = build_hamiltonian(s), dephasing_dissipator(0.3, s)
+        if case == "complex_h":
+            ham = gauge_transformed(ham, rng)
+        if case == "complex_jump":
+            jumps = [phased_jump(jumps[0], rng)]
+        step = evolution._StrangStep(ham, jumps)
+        assert np.iscomplexobj(step.vecs) == (case == "complex_h")
+        assert np.iscomplexobj(step.rates) == (case == "complex_jump")
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        sigma = (a + a.conj().T) / np.linalg.norm(a)
+
+        m = step(sigma.real + sigma.imag, h)
+        got = 0.5 * (m + m.T) + 0.5j * (m - m.T)
+
+        v, p = step.vecs, np.exp(-0.5j * h * step.energies)
+        phase = np.outer(p, p.conj())
+        d = np.diagonal(jumps[0].entries)
+        w = np.abs(d) ** 2
+        k = np.outer(d, d.conj()) - 0.5 * (w[:, None] + w[None, :])
+        want = phase * (v.conj().T @ (np.exp(h * k) * (v @ (phase * sigma) @ v.conj().T)) @ v)
+        assert np.max(np.abs(got - want)) < 1e-13
 
 
 class TestTopLevelPopulation:
