@@ -3,17 +3,11 @@ and nonlinear phase-insensitive absorption."""
 
 from .errors import (ConfigError, DimensionError, IntegrationError, LayoutError,
                      ShellRemovalError, SimulationError, StateError, TruncationError)
-from .hilbert import (KetEnsemble, Operator, QuantumState, SpaceLayout, annihilation,
-                      basis_state, embed, identity, number_operator, partial_trace,
-                      qubit_operators, tensor)
-from .models import (Interaction, ModelSpec, build_hamiltonian, combined_interaction,
-                     commutator_residual, completed_interaction, dephasing_dissipator,
-                     detuned_hamiltonian, excitation_number, free_hamiltonian,
-                     jc_interaction, mw_interaction)
-from .states import InitialStateSpec, make_state, single_mode_state
-from .evolution import (EvolutionResult, HamiltonianPropagator, SwitchCoefficients,
-                        bch_first_order, lindblad_evolve, sequential_switch,
-                        switch_coefficients, unitary_evolve)
+from .hilbert import KetEnsemble, Operator, QuantumState, SpaceLayout, partial_trace
+from .models import Interaction, ModelSpec, build_hamiltonian, dephasing_dissipator
+from .states import InitialStateSpec, make_state
+from .evolution import (EvolutionResult, HamiltonianPropagator, lindblad_evolve,
+                        sequential_switch)
 from .observables import (DiagnosticsRecord, WignerGrid, WignerGridSpec, coherence,
                           diagnose, excitation_stats, negativity_volume,
                           quadrature_stats, radial_asymmetry, remove_gaussian_shell,

@@ -1,6 +1,5 @@
 """Time evolution: exact unitary propagation, piecewise Hamiltonian
-switching, the closed-form two-segment switching amplitudes, a first-order
-product-formula step, and a Lindblad master-equation integrator.
+switching and a Lindblad master-equation integrator.
 
 Unitary propagation goes through a Hermitian eigendecomposition, which is
 exact for arbitrary times and amortizes across the hundreds of output points
@@ -17,17 +16,18 @@ a CPTP map and the state stays positive at any tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
-from . import hilbert, models
+from . import models
 from .errors import IntegrationError, LayoutError, SimulationError, StateError
 from .hilbert import KetEnsemble, Operator, QuantumState
-from .models import ABSORBER_LABEL, OSC_LABEL
+from .models import OSC_LABEL
 
 LEAKAGE_LEVELS = 5
 LEAKAGE_WARN = 1e-6
+INITIAL_STEP = 1e-2     # first trial step of the master-equation integrator
+MIN_STEP = 1e-12        # step size below which it gives up
 
 
 @dataclass(frozen=True)
@@ -116,77 +116,8 @@ class HamiltonianPropagator:
                            _product(self.eigenvectors, phase[:, None] * expansion.coeffs))
 
 
-def unitary_evolve(hamiltonian: Operator, state0: KetEnsemble, times,
-                   observer=None, store_states: bool = True) -> EvolutionResult:
-    """Evolve under exp(-i H t) and record states and truncation leakage.
-
-    `observer(t, state)`, when given, runs at every output point; pass
-    store_states=False to stream long sweeps without retaining every state.
-    """
-    prop = HamiltonianPropagator(hamiltonian)
-    initial = prop.expand(state0)
-    times = np.asarray(list(times), float)
-    states = []
-    leakage = np.empty(len(times))
-    for i, t in enumerate(times):
-        st = prop.state_at(initial, float(t))
-        leakage[i] = top_level_population(st)
-        if observer is not None:
-            observer(float(t), st)
-        if store_states:
-            states.append(st)
-    return EvolutionResult(times, tuple(states), leakage,
-                           bool(leakage.max(initial=0.0) > LEAKAGE_WARN))
-
-
 # ---------------------------------------------------------------------------
 # two-segment switching
-
-@dataclass(frozen=True)
-class SwitchCoefficients:
-    """Closed-form amplitudes after a linear-absorption segment followed by a
-    quadratic one, both of duration t, starting from |g, n>:
-
-        |g>(alpha |n> + beta |n+1>) + |e>(gamma |n-1> + delta |n-2>)
-    """
-
-    n: int
-    alpha: complex
-    beta: complex
-    gamma: complex
-    delta: complex
-
-    def __post_init__(self):
-        norm = (abs(self.alpha) ** 2 + abs(self.beta) ** 2
-                + abs(self.gamma) ** 2 + abs(self.delta) ** 2)
-        if abs(norm - 1.0) > 1e-12:
-            raise StateError(f"switch amplitudes norm {norm!r} deviates from 1")
-
-    def state(self, cutoff: int) -> KetEnsemble:
-        layout = hilbert.SpaceLayout(((ABSORBER_LABEL, 2), (OSC_LABEL, cutoff)))
-        ket = np.zeros((2 * cutoff, 1), complex)
-        ket[self.n] = self.alpha
-        ket[self.n + 1] = self.beta
-        ket[cutoff + self.n - 1] = self.gamma
-        ket[cutoff + self.n - 2] = self.delta
-        return KetEnsemble(layout, ket)
-
-
-def switch_coefficients(n: int, g1: float, g2: float, t: float) -> SwitchCoefficients:
-    """Amplitudes for the two-segment protocol (linear segment first)."""
-    if n < 2:
-        raise StateError(f"switching amplitudes need n >= 2, got {n}")
-    r1 = g1 * math.sqrt(n) * t
-    r_down = g2 * math.sqrt(n * (n - 1)) * t
-    r_up = g2 * math.sqrt(n * (n + 1)) * t
-    return SwitchCoefficients(
-        n=n,
-        alpha=math.cos(r_down) * math.cos(r1),
-        beta=-math.sin(r_up) * math.sin(r1),
-        gamma=-1j * math.cos(r_up) * math.sin(r1),
-        delta=-1j * math.sin(r_down) * math.cos(r1),
-    )
-
 
 def sequential_switch(orders, couplings, durations,
                       state0: KetEnsemble) -> EvolutionResult:
@@ -198,10 +129,6 @@ def sequential_switch(orders, couplings, durations,
     if not (len(orders) == len(couplings) == len(durations)):
         raise StateError("orders, couplings and durations must have equal length")
     cutoff = state0.layout.dim(OSC_LABEL)
-    spec = models.ModelSpec(
-        interactions=tuple(models.Interaction(int(k), float(g))
-                           for k, g in dict(zip(orders, couplings)).items()),
-        cutoff=cutoff)
     props = {}
     state = state0
     times, states, leaks = [], [], []
@@ -212,8 +139,9 @@ def sequential_switch(orders, couplings, durations,
         if dt == 0:
             continue
         if (k, g) not in props:
-            props[(k, g)] = HamiltonianPropagator(
-                models.jc_interaction(int(k), float(g), spec))
+            spec = models.ModelSpec(interactions=(models.Interaction(int(k), float(g)),),
+                                    cutoff=cutoff)
+            props[(k, g)] = HamiltonianPropagator(models.build_hamiltonian(spec))
         state = props[(k, g)].state_at(state, float(dt))
         now += float(dt)
         times.append(now)
@@ -222,19 +150,6 @@ def sequential_switch(orders, couplings, durations,
     leakage = np.asarray(leaks)
     return EvolutionResult(np.asarray(times), tuple(states), leakage,
                            bool(leakage.max(initial=0.0) > LEAKAGE_WARN))
-
-
-def bch_first_order(g1: float, g2: float, t: float,
-                    state0: KetEnsemble) -> KetEnsemble:
-    """First-order product-formula state U1(t) U2(t) |psi0> for the combined
-    interaction; deviates from the exact combined evolution as O(t^2)."""
-    cutoff = state0.layout.dim(OSC_LABEL)
-    spec = models.ModelSpec(
-        interactions=(models.Interaction(1, g1), models.Interaction(2, g2)),
-        cutoff=cutoff)
-    p2 = HamiltonianPropagator(models.jc_interaction(2, g2, spec))
-    p1 = HamiltonianPropagator(models.jc_interaction(1, g1, spec))
-    return p1.state_at(p2.state_at(state0, t), t)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +215,8 @@ class _StrangStep:
 
 
 def lindblad_evolve(hamiltonian: Operator, jump_ops, rho0: QuantumState | KetEnsemble,
-                    times, tol: float = 1e-8, observer=None, store_states: bool = True,
-                    initial_step: float = 1e-2,
-                    min_step: float = 1e-12) -> EvolutionResult:
+                    times, tol: float = 1e-8, observer=None,
+                    store_states: bool = True) -> EvolutionResult:
     """Integrate the master equation with adaptive Strang splitting.
 
     Every step composes exact CPTP maps (see `_StrangStep`), so the state
@@ -333,7 +247,7 @@ def lindblad_evolve(hamiltonian: Operator, jump_ops, rho0: QuantumState | KetEns
     sigma = _congruence(step.vecs.conj().T, m_start)
     layout = rho0.layout
     t = 0.0
-    h = initial_step
+    h = INITIAL_STEP
     states = []
     leakage = np.empty(len(times))
 
@@ -347,7 +261,7 @@ def lindblad_evolve(hamiltonian: Operator, jump_ops, rho0: QuantumState | KetEns
                 t += h
             factor = 0.9 * (tol / err) ** (1.0 / 3.0) if err > 0 else 2.0
             h = h * min(2.0, max(0.2, factor))
-            if h < min_step:
+            if h < MIN_STEP:
                 raise IntegrationError("step size underflow", time_reached=t)
         # t = 0 is the identity map; the eigenbasis round trip would leave round-off in
         m = m_start if t_out == 0.0 else _congruence(step.vecs, step(sigma, float(t_out) - t))

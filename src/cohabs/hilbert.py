@@ -1,4 +1,5 @@
-"""Finite-dimensional composite Hilbert-space algebra on dense complex arrays.
+"""Composite Hilbert spaces: tensor layouts, dense operators and states,
+and the partial trace.
 
 Conventions (fixed once, used everywhere):
 
@@ -10,15 +11,16 @@ Conventions (fixed once, used everywhere):
 
 States come in two types.  A `KetEnsemble` holds every input state and every
 state of a unitary run as a block of kets; a `QuantumState` holds the dense
-density matrix of a dephased (master-equation) run.  Operators and states
-are immutable after construction (their arrays are marked read-only), so
-they can be shared freely between worker threads.
+density matrix of a dephased (master-equation) run.  An `Operator` only
+holds a dense array with a verified hermiticity flag; every Hamiltonian and
+jump operator is built by `models`.  Operators and states are immutable
+after construction (their arrays are marked read-only), so they can be
+shared freely between worker threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -79,9 +81,6 @@ class SpaceLayout:
                 return i
         raise LayoutError(f"unknown factor label {label!r}; have {self.labels}")
 
-    def concat(self, other: "SpaceLayout") -> "SpaceLayout":
-        return SpaceLayout(self.factors + other.factors)
-
 
 def _hermitian_deviation(a: np.ndarray) -> float:
     """max|A - A^dag| taken over blocks of rows, so that no temporary is as
@@ -111,54 +110,9 @@ class Operator:
             if dev >= HERMITIAN_ATOL:
                 raise StateError(f"hermitian flag set but max|A - A^dag| = {dev:.3e}")
 
-    @staticmethod
-    def create(layout: SpaceLayout, entries: np.ndarray) -> "Operator":
-        """Construct with the hermiticity flag detected from the entries."""
-        dev = _hermitian_deviation(np.asarray(entries))
-        return Operator(layout, np.asarray(entries, complex), bool(dev < HERMITIAN_ATOL))
-
     @property
     def dim(self) -> int:
         return self.layout.total_dim
-
-    def dag(self) -> "Operator":
-        return Operator(self.layout, self.entries.conj().T, self.hermitian)
-
-    def _require_same_layout(self, other: "Operator"):
-        if self.layout != other.layout:
-            raise LayoutError(
-                f"layout mismatch: {self.layout.factors} vs {other.layout.factors}"
-            )
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._require_same_layout(other)
-        return Operator(self.layout, self.entries + other.entries,
-                        self.hermitian and other.hermitian)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._require_same_layout(other)
-        return Operator(self.layout, self.entries - other.entries,
-                        self.hermitian and other.hermitian)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        herm = self.hermitian and float(np.imag(scalar)) == 0.0
-        return Operator(self.layout, scalar * self.entries, herm)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._require_same_layout(other)
-        return Operator.create(self.layout, self.entries @ other.entries)
-
-    def commutator(self, other: "Operator") -> "Operator":
-        self._require_same_layout(other)
-        ab = self.entries @ other.entries
-        if self.hermitian and other.hermitian:
-            # BA = (AB)^dag for hermitian A, B; saves one product
-            ba = ab.conj().T
-        else:
-            ba = other.entries @ self.entries
-        return Operator.create(self.layout, ab - ba)
 
 
 @dataclass(frozen=True)
@@ -228,83 +182,6 @@ class KetEnsemble:
     def density(self) -> np.ndarray:
         rho = self.kets @ self.kets.conj().T
         return 0.5 * (rho + rho.conj().T)
-
-
-# ---------------------------------------------------------------------------
-# elementary operators
-
-def annihilation(cutoff: int, label: str = "osc") -> Operator:
-    """Bosonic lowering operator b on a Fock space truncated to `cutoff` levels.
-
-    <n-1| b |n> = sqrt(n) for 1 <= n <= cutoff-1.
-    """
-    if cutoff < 2:
-        raise DimensionError(f"Fock cutoff must be >= 2, got {cutoff}")
-    mat = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
-    return Operator(SpaceLayout.single(label, cutoff), mat.astype(complex), False)
-
-
-def number_operator(cutoff: int, label: str = "osc") -> Operator:
-    """b^dag b, diagonal in the Fock basis."""
-    if cutoff < 2:
-        raise DimensionError(f"Fock cutoff must be >= 2, got {cutoff}")
-    return Operator(SpaceLayout.single(label, cutoff),
-                    np.diag(np.arange(cutoff, dtype=float)).astype(complex), True)
-
-
-def qubit_operators(label: str = "qubit") -> tuple[Operator, Operator, Operator]:
-    """(sigma_plus, sigma_minus, sigma_z) on a two-level factor, ordering (g, e)."""
-    lay = SpaceLayout.single(label, 2)
-    sigma_minus = np.array([[0, 1], [0, 0]], complex)   # |g><e|
-    sigma_plus = sigma_minus.conj().T                    # |e><g|
-    sigma_z = np.diag([-1.0, 1.0]).astype(complex)
-    return (Operator(lay, sigma_plus, False),
-            Operator(lay, sigma_minus, False),
-            Operator(lay, sigma_z, True))
-
-
-def identity(layout: SpaceLayout) -> Operator:
-    return Operator(layout, np.eye(layout.total_dim, dtype=complex), True)
-
-
-def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product; layouts concatenate, hermitian flags AND together."""
-    return Operator(a.layout.concat(b.layout), np.kron(a.entries, b.entries),
-                    a.hermitian and b.hermitian)
-
-
-def tensor_all(ops: list[Operator]) -> Operator:
-    return reduce(tensor, ops)
-
-
-def embed(op: Operator, layout: SpaceLayout) -> Operator:
-    """Lift a single-factor operator into `layout` by padding with identities."""
-    if len(op.layout.factors) != 1:
-        raise LayoutError("embed expects a single-factor operator")
-    label, dim = op.layout.factors[0]
-    if layout.dim(label) != dim:
-        raise LayoutError(f"factor {label!r} has dim {layout.dim(label)} in target "
-                          f"layout but operator acts on dim {dim}")
-    parts = []
-    for lab, d in layout.factors:
-        if lab == label:
-            parts.append(op)
-        else:
-            parts.append(identity(SpaceLayout.single(lab, d)))
-    return tensor_all(parts)
-
-
-def basis_state(layout: SpaceLayout, occupations: dict[str, int]) -> KetEnsemble:
-    """Product basis ket |n_1, n_2, ...> given per-factor indices."""
-    vecs = []
-    for lab, d in layout.factors:
-        idx = occupations.get(lab, 0)
-        if not 0 <= idx < d:
-            raise DimensionError(f"index {idx} out of range for factor {lab!r} (dim {d})")
-        v = np.zeros(d, complex)
-        v[idx] = 1.0
-        vecs.append(v)
-    return KetEnsemble(layout, reduce(np.kron, vecs)[:, None])
 
 
 def partial_trace(state: QuantumState | KetEnsemble, keep: str):

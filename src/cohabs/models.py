@@ -151,8 +151,7 @@ class ModelSpec:
 # A term is a list of real sparse matrices on the spec's layout, each a
 # Kronecker product of one ladder-matrix diagonal per factor, held as
 # coordinate triplets (rows, cols, values).  build_hamiltonian adds a spec's
-# terms into one dense array; the public builders below wrap the same terms
-# one at a time.
+# terms into one dense array.
 
 def _ladder(dim: int, k: int = 1):
     """b^k on `dim` levels: <i| b^k |i+k> = sqrt(i+1) ... sqrt(i+k).  On two
@@ -249,58 +248,7 @@ def _hermitian(spec: ModelSpec, terms: list) -> Operator:
 
 
 # ---------------------------------------------------------------------------
-# interaction builders
-
-def jc_interaction(k: int, g: float, spec: ModelSpec) -> Operator:
-    """Excitation-exchange coupling g (sigma+ b^k + sigma- b^dag^k).
-
-    Annihilates |g, m> for m < k; requires a qubit absorber and k < cutoff.
-    """
-    if spec.absorber != "qubit":
-        raise LayoutError("jc_interaction requires a qubit absorber")
-    return _hermitian(spec, _plus_hc(g, spec, _raising(k, spec)))
-
-
-def combined_interaction(g1: float, g2: float, spec: ModelSpec) -> Operator:
-    """Sum of the linear (k=1) and quadratic (k=2) exchange interactions."""
-    return jc_interaction(1, g1, spec) + jc_interaction(2, g2, spec)
-
-
-def mw_interaction(k: int, g: float, spec: ModelSpec) -> Operator:
-    """Mixer coupling g (a^dag b^k + a b^dag^k) for an oscillator absorber.
-
-    Commutes with k a^dag a + b^dag b away from the truncation boundary.
-    """
-    if spec.absorber != "oscillator":
-        raise LayoutError("mw_interaction requires an oscillator absorber")
-    return _hermitian(spec, _plus_hc(g, spec, _raising(k, spec)))
-
-
-def completed_interaction(g1: float, g2: float, spec: ModelSpec) -> Operator:
-    """Three-mode completion g1 (sigma+ b a + h.c.) + g2 (sigma+ b^2 + h.c.).
-
-    Requires the qubit (x) oscillator (x) pump layout; the trilinear term
-    draws the linear absorption's energy from the pump mode.
-    """
-    if not spec.has_pump:
-        raise LayoutError("completed_interaction needs a pump factor (set spec.pump)")
-    return _hermitian(spec, _interaction(1, g1, spec) + _interaction(2, g2, spec))
-
-
-# ---------------------------------------------------------------------------
-# free Hamiltonians and conserved quantities
-
-def free_hamiltonian(omega: float, Omega: float, spec: ModelSpec) -> Operator:
-    """H0 = omega b^dag b + absorber term ((Omega/2) sigma_z or Omega a^dag a)."""
-    return _hermitian(spec, _free(omega, Omega, spec))
-
-
-def detuned_hamiltonian(Delta: float, Omega: float, k: int, g: float,
-                        spec: ModelSpec) -> Operator:
-    """H = -Delta b^dag b + (Omega/2) sigma_z + V^(k); keeps Fock-diagonal
-    reduced states diagonal for any detuning."""
-    return free_hamiltonian(-Delta, Omega, spec) + jc_interaction(k, g, spec)
-
+# Hamiltonian
 
 def build_hamiltonian(spec: ModelSpec) -> Operator:
     """Full Hamiltonian for the spec: free part plus every listed interaction,
@@ -310,36 +258,6 @@ def build_hamiltonian(spec: ModelSpec) -> Operator:
     for it in spec.interactions:
         terms += _interaction(it.order, it.coupling, spec)
     return _hermitian(spec, terms)
-
-
-def excitation_number(k: int, spec: ModelSpec) -> Operator:
-    """N = k P_excited + b^dag b (qubit) or k a^dag a + b^dag b (oscillator)."""
-    dim_abs = spec.layout().dim(ABSORBER_LABEL)
-    return _hermitian(spec, [_kron(spec, {OSC_LABEL: _number(spec.cutoff)}),
-                             _kron(spec, {ABSORBER_LABEL: _number(dim_abs, float(k))})])
-
-
-def commutator_residual(h0: Operator, v: Operator, k: int, g: float,
-                        omega: float, Omega: float) -> tuple[Operator, float]:
-    """[H0, V] together with its max-abs entry.
-
-    For a single order-k exchange interaction the commutator equals
-    g (k omega - Omega) (sigma- b^dag^k - sigma+ b^k) entrywise, vanishing
-    exactly on resonance Omega = k omega.
-    """
-    if h0.layout != v.layout:
-        raise LayoutError("commutator_residual needs operators on the same layout")
-    comm = h0.commutator(v)
-    return comm, float(np.max(np.abs(comm.entries)))
-
-
-def frustration_reference(k: int, g: float, omega: float, Omega: float,
-                          spec: ModelSpec) -> Operator:
-    """Closed form g (k omega - Omega)(sigma- b^dag^k - sigma+ b^k)."""
-    c = g * (k * omega - Omega)
-    rows, cols, values = _kron(spec, _raising(k, spec))
-    return Operator.create(spec.layout(),
-                           _dense(spec, [(cols, rows, c * values), (rows, cols, -c * values)]))
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,7 @@ WIGNER_GATHER_BYTES = 1 << 20   # bound on each gathered block of wavefunction v
 def _as_density(rho) -> np.ndarray:
     if isinstance(rho, (QuantumState, KetEnsemble)):
         return rho.density()
-    rho = np.asarray(rho, complex)
-    if rho.ndim == 1:
-        return np.outer(rho, rho.conj())
-    return rho
+    return np.asarray(rho, complex)
 
 
 def _spectrum(rho) -> np.ndarray:

@@ -177,8 +177,3 @@ def make_state(spec: InitialStateSpec, layout: SpaceLayout,
             parts.append(np.identity(d, complex)[:, :1])     # ground state
     return KetEnsemble(layout, reduce(np.kron, parts))
 
-
-def single_mode_state(spec: InitialStateSpec, dim: int,
-                      label: str = OSC_LABEL) -> KetEnsemble:
-    """Oscillator-only state, mostly for direct diagnostics and tests."""
-    return KetEnsemble(SpaceLayout.single(label, dim), oscillator_state(spec, dim))

@@ -29,6 +29,7 @@ from cohabs.experiments import load_config, run_scenario, sweep
 from cohabs.hilbert import partial_trace
 from cohabs.models import Interaction, ModelSpec
 from cohabs.states import InitialStateSpec
+import oracles
 
 pytestmark = pytest.mark.acceptance
 
@@ -140,7 +141,8 @@ def test_criterion_3_short_time_symmetry_breaking():
 
     asym_single = []
     for k in (1, 2):
-        h = models.jc_interaction(k, spec.coupling(k), spec)
+        h = models.build_hamiltonian(ModelSpec(interactions=(Interaction(k, spec.coupling(k)),),
+                                               cutoff=spec.cutoff))
         rho_k = osc_density(evolution.HamiltonianPropagator(h).state_at(psi0, t_final))
         asym_single.append(observables.radial_asymmetry(rho_k, radii))
 
@@ -298,40 +300,47 @@ def test_criterion_10_pumped_completion():
 def test_criterion_11_property_suite():
     checks = {}
 
-    # ladder commutator identity except the top level
-    from cohabs.hilbert import annihilation, qubit_operators
-    bb = annihilation(40).entries
-    comm = bb @ bb.conj().T - bb.conj().T @ bb
+    # ladder commutator identity except the top level, on the ladder matrices
+    # every Hamiltonian term is built from
+    def ladder(dim):
+        rows, cols, values = models._ladder(dim)
+        out = np.zeros((dim, dim))
+        out[rows, cols] = values
+        return out
+
+    bb = ladder(40)
+    comm = bb @ bb.T - bb.T @ bb
     expected = np.eye(40)
     expected[-1, -1] = -39.0
     checks["ladder_commutator"] = np.max(np.abs(comm - expected)) < 1e-12
 
-    sp, sm, sz = qubit_operators()
-    checks["pauli_algebra"] = (np.array_equal(sp.commutator(sm).entries, sz.entries)
-                               and np.all((sp @ sp).entries == 0))
+    sm = ladder(2)
+    sp = sm.T
+    checks["pauli_algebra"] = (np.array_equal(sp @ sm - sm @ sp, np.diag([-1.0, 1.0]))
+                               and np.all(sp @ sp == 0))
 
     spec = ModelSpec(interactions=(Interaction(1, 1.0), Interaction(2, 0.1)),
                      cutoff=20)
-    h0 = models.free_hamiltonian(1.0, 2.4, spec)
-    v = models.jc_interaction(1, 1.0, spec)
-    commutator, _ = models.commutator_residual(h0, v, 1, 1.0, 1.0, 2.4)
-    ref = models.frustration_reference(1, 1.0, 1.0, 2.4, spec)
+    h0 = models.build_hamiltonian(ModelSpec(interactions=(Interaction(1, 0.0),),
+                                            omega=1.0, Omega=2.4, cutoff=20)).entries
+    v = models.build_hamiltonian(ModelSpec(interactions=(Interaction(1, 1.0),),
+                                           cutoff=20)).entries
+    ref = oracles.frustration_commutator(1, 1.0, 1.0, 2.4, 20)
     keep = np.ones(40, bool)
     keep[19] = keep[39] = False
     checks["frequency_residual"] = np.max(np.abs(
-        (commutator.entries - ref.entries)[np.ix_(keep, keep)])) < 1e-10
+        (h0 @ v - v @ h0 - ref)[np.ix_(keep, keep)])) < 1e-10
 
     psi0 = states.make_state(InitialStateSpec("fock", n=7), spec.layout())
-    co = evolution.switch_coefficients(7, 1.0, 0.1, 15.7)
     seq = evolution.sequential_switch([1, 2], [1.0, 0.1], [15.7, 15.7], psi0)
     checks["switch_amplitudes"] = np.max(np.abs(
-        co.state(20).kets - seq.states[-1].kets)) < 1e-9
+        oracles.switch_ket(7, 1.0, 0.1, 15.7, 20) - seq.states[-1].kets)) < 1e-9
 
-    h = models.build_hamiltonian(spec)
-    res = evolution.unitary_evolve(h, psi0, np.linspace(0.0, 15.0, 16))
-    checks["unitarity"] = all(abs(np.linalg.norm(s.kets) - 1) < 1e-10
-                              for s in res.states)
-    red = partial_trace(res.states[-1], "osc")
+    prop = evolution.HamiltonianPropagator(models.build_hamiltonian(spec))
+    expansion = prop.expand(psi0)
+    evolved = [prop.state_at(expansion, t) for t in np.linspace(0.0, 15.0, 16)]
+    checks["unitarity"] = all(abs(np.linalg.norm(s.kets) - 1) < 1e-10 for s in evolved)
+    red = partial_trace(evolved[-1], "osc")
     checks["reduced_hermitian_unit_trace"] = (
         abs(np.trace(red.density()) - 1) < 1e-12
         and np.max(np.abs(red.density() - red.density().conj().T)) < 1e-12)

@@ -3,30 +3,49 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cohabs.errors import DimensionError, LayoutError, StateError
-from cohabs.hilbert import (KetEnsemble, Operator, QuantumState, SpaceLayout, annihilation,
-                            basis_state, embed, identity, number_operator,
-                            partial_trace, qubit_operators, tensor)
+from cohabs.hilbert import KetEnsemble, Operator, QuantumState, SpaceLayout, partial_trace
+from cohabs.models import (Interaction, ModelSpec, _ladder, _number, build_hamiltonian,
+                           dephasing_dissipator)
 from conftest import random_density, random_ket
+
+SIGMA_Z = np.diag([-1.0, 1.0])      # storage order (g, e)
 
 
 def qubit_osc(cutoff):
     return SpaceLayout((("absorber", 2), ("osc", cutoff)))
 
 
+def dense(triplet, dim):
+    """A single-factor term of `models` as a dense matrix."""
+    rows, cols, values = triplet
+    out = np.zeros((dim, dim))
+    out[rows, cols] = values
+    return out
+
+
+def basis_ket(layout, **occupations):
+    """The product basis ket with the given per-factor indices, 0 elsewhere."""
+    index = np.ravel_multi_index([occupations.get(lab, 0) for lab in layout.labels],
+                                 layout.dims)
+    ket = np.zeros((layout.total_dim, 1), complex)
+    ket[index] = 1.0
+    return KetEnsemble(layout, ket)
+
+
 class TestAnnihilation:
+    """The ladder matrices every Hamiltonian term of `models` is built from."""
+
     def test_cutoff_two_single_entry(self):
-        b = annihilation(2)
-        assert np.array_equal(b.entries, np.array([[0, 1], [0, 0]], complex))
+        assert np.array_equal(dense(_ladder(2), 2), np.array([[0, 1], [0, 0]], float))
 
     def test_sqrt_ladder_entry(self):
-        b = annihilation(3)
-        assert b.entries[1, 2] == pytest.approx(np.sqrt(2))
+        assert dense(_ladder(3), 3)[1, 2] == pytest.approx(np.sqrt(2))
 
     @pytest.mark.parametrize("cutoff", [2, 5, 17])
     def test_commutator_is_identity_except_top_level(self, cutoff):
         # direct matrix-product oracle
-        b = annihilation(cutoff).entries
-        comm = b @ b.conj().T - b.conj().T @ b
+        b = dense(_ladder(cutoff), cutoff)
+        comm = b @ b.T - b.T @ b
         expected = np.eye(cutoff)
         expected[-1, -1] = -(cutoff - 1)
         # squaring the correctly rounded sqrt entries costs at most one ulp
@@ -34,76 +53,48 @@ class TestAnnihilation:
 
     def test_rejects_tiny_cutoff(self):
         with pytest.raises(DimensionError):
-            annihilation(1)
+            ModelSpec(interactions=(Interaction(1, 1.0),), cutoff=1)
 
     def test_number_operator_is_bdag_b(self):
-        b = annihilation(6)
-        assert np.allclose(number_operator(6).entries,
-                           b.entries.conj().T @ b.entries, rtol=0.0, atol=1e-13)
+        b = dense(_ladder(6), 6)
+        assert np.allclose(dense(_number(6), 6), b.T @ b, rtol=0.0, atol=1e-13)
 
 
 class TestQubitOperators:
+    """On two levels the ladder is sigma- = |g><e| in (g, e) order."""
+
     def test_raising_lowering_projector(self):
-        sp, sm, sz = qubit_operators()
+        sm = dense(_ladder(2), 2)
         # projector onto the excited state; storage order is (g, e)
-        assert np.array_equal((sp @ sm).entries, np.diag([0.0, 1.0]).astype(complex))
+        assert np.array_equal(sm.T @ sm, np.diag([0.0, 1.0]))
 
     def test_nilpotency(self):
-        sp, _, _ = qubit_operators()
-        assert np.all((sp @ sp).entries == 0)
+        sp = dense(_ladder(2), 2).T
+        assert np.all(sp @ sp == 0)
 
     def test_pauli_commutator(self):
-        sp, sm, sz = qubit_operators()
-        assert np.array_equal(sp.commutator(sm).entries, sz.entries)
+        sm = dense(_ladder(2), 2)
+        assert np.array_equal(sm.T @ sm - sm @ sm.T, SIGMA_Z)
 
     def test_sigma_z_storage_order(self):
-        _, _, sz = qubit_operators()
-        assert np.array_equal(sz.entries, np.diag([-1.0, 1.0]).astype(complex))
+        # the qubit's free term (Omega/2) sigma_z (x) 1 at Omega = 2
+        spec = ModelSpec(interactions=(Interaction(1, 0.0),), Omega=2.0, cutoff=2)
+        assert np.array_equal(build_hamiltonian(spec).entries, np.kron(SIGMA_Z, np.eye(2)))
 
 
 class TestTensor:
-    def test_identity_product(self):
-        i2 = identity(SpaceLayout.single("a", 2))
-        i3 = identity(SpaceLayout.single("b", 3))
-        out = tensor(i2, i3)
-        assert np.array_equal(out.entries, np.eye(6, dtype=complex))
-        assert out.hermitian
-
     def test_sigma_z_eigenvector(self):
-        _, _, sz = qubit_operators("absorber")
-        op = tensor(sz, identity(SpaceLayout.single("osc", 5)))
-        ket = basis_state(op.layout, {"absorber": 0, "osc": 3})
-        assert np.allclose(op.entries @ ket.kets, -ket.kets)
-
-    def test_mixed_product_property(self, rng):
-        sp, sm, _ = qubit_operators("absorber")
-        b = annihilation(4)
-        left = tensor(sp, b) @ tensor(sm, b.dag())
-        right = tensor(sp @ sm, b @ b.dag())
-        assert np.allclose(left.entries, right.entries, atol=1e-14)
-
-    def test_associativity_exact(self, rng):
-        ops = []
-        for i, d in enumerate((2, 3, 2)):
-            mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            ops.append(Operator.create(SpaceLayout.single(f"f{i}", d), mat))
-        a, b, c = ops
-        # scalar multiplication is not associative in IEEE arithmetic; the
-        # groupings agree to a relative ulp
-        assert np.allclose(tensor(tensor(a, b), c).entries,
-                           tensor(a, tensor(b, c)).entries, rtol=1e-13, atol=1e-15)
-
-    def test_hermitian_flag_propagates(self):
-        _, _, sz = qubit_operators()
-        b = annihilation(3)
-        assert tensor(sz, number_operator(3)).hermitian
-        assert not tensor(sz, b).hermitian
+        # the free term (Omega/2) sigma_z (x) 1 at Omega = 2: |g, 3> has eigenvalue -1
+        spec = ModelSpec(interactions=(Interaction(1, 0.0),), Omega=2.0, cutoff=5)
+        h = build_hamiltonian(spec)
+        ket = basis_ket(h.layout, absorber=0, osc=3)
+        assert np.allclose(h.entries @ ket.kets, -ket.kets)
 
 
 class TestPartialTrace:
     def test_product_state(self):
         lay = qubit_osc(6)
-        psi = basis_state(lay, {"absorber": 0, "osc": 4})
+        psi = basis_ket(lay, absorber=0, osc=4)
         red = partial_trace(psi, "osc")
         expected = np.zeros((6, 6), complex)
         expected[4, 4] = 1.0
@@ -156,7 +147,7 @@ class TestPartialTrace:
         assert np.allclose(partial_trace(state, "b").data, rho_parts[1], atol=1e-12)
 
     def test_unknown_label(self):
-        psi = basis_state(qubit_osc(3), {})
+        psi = basis_ket(qubit_osc(3))
         with pytest.raises(LayoutError):
             partial_trace(psi, "nope")
 
@@ -184,9 +175,8 @@ class TestValidation:
         a[dim - 1, 0] += 2e-12
         with pytest.raises(StateError):
             Operator(lay, a.astype(complex), hermitian=True)
-        assert not Operator.create(lay, a).hermitian
         a[dim - 1, 0] -= 2e-12
-        assert Operator.create(lay, a).hermitian
+        assert Operator(lay, a.astype(complex), hermitian=True).hermitian
 
     def test_vector_norm_enforced(self):
         lay = SpaceLayout.single("a", 2)
@@ -206,13 +196,14 @@ class TestValidation:
             state.validate_positive()
 
     def test_states_are_frozen(self):
-        psi = basis_state(qubit_osc(3), {})
+        psi = basis_ket(qubit_osc(3))
         with pytest.raises(ValueError):
             psi.kets[0, 0] = 0.0
 
     @given(st.integers(min_value=2, max_value=9))
     def test_embed_matches_kron(self, dim):
-        lay = SpaceLayout((("absorber", 2), ("osc", dim)))
-        n = number_operator(dim, "osc")
-        assert np.array_equal(embed(n, lay).entries,
-                              np.kron(np.eye(2), n.entries))
+        # a single-factor term lifted into the composite layout: the number
+        # dephasing jump sqrt(gamma) b^dag b at gamma = 1
+        spec = ModelSpec(interactions=(Interaction(1, 1.0),), cutoff=dim)
+        (jump,) = dephasing_dissipator(1.0, spec)
+        assert np.array_equal(jump.entries, np.kron(np.eye(2), np.diag(np.arange(dim))))

@@ -9,8 +9,7 @@ from scipy.integrate import quad
 from cohabs import observables
 from cohabs.errors import ShellRemovalError, StateError
 from cohabs.evolution import HamiltonianPropagator, top_level_population
-from cohabs.hilbert import (KetEnsemble, QuantumState, SpaceLayout, basis_state,
-                            partial_trace)
+from cohabs.hilbert import KetEnsemble, QuantumState, SpaceLayout, partial_trace
 from cohabs.models import Interaction, ModelSpec, build_hamiltonian
 from cohabs.observables import (WignerGrid, WignerGridSpec,
                                 coherence, diagnose, excitation_stats,
@@ -19,7 +18,8 @@ from cohabs.observables import (WignerGrid, WignerGridSpec,
                                 remove_gaussian_shell, save_wigner_csv,
                                 save_wigner_text, von_neumann_entropy, wigner,
                                 wigner_values)
-from cohabs.states import coherent_amplitudes, thermal_populations
+from cohabs.states import (InitialStateSpec, coherent_amplitudes, make_state,
+                           thermal_populations)
 from conftest import random_density, random_ket
 
 
@@ -466,7 +466,7 @@ class TestEnsembleDiagnostics:
         spec = ModelSpec(interactions=(Interaction(1, 1.0), Interaction(2, 0.1)),
                          cutoff=40)
         prop = HamiltonianPropagator(build_hamiltonian(spec))
-        psi0 = basis_state(spec.layout(), {"osc": 7})
+        psi0 = make_state(InitialStateSpec("fock", n=7), spec.layout())
         ens = prop.state_at(prop.expand(psi0), 0.0)
         rec = diagnose(partial_trace(ens, "osc"))
         assert (rec.mean_n, rec.std_n, rec.coherence) == (7.0, 0.0, 0.0)

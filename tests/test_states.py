@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cohabs.errors import ConfigError, TruncationError
+from cohabs.hilbert import KetEnsemble, SpaceLayout
 from cohabs.models import Interaction, ModelSpec
 from cohabs.observables import coherence
 from cohabs.states import (KINDS, InitialStateSpec, coherent_amplitudes, make_state,
-                           poisson_populations, single_mode_state,
-                           thermal_populations)
+                           oscillator_state, poisson_populations, thermal_populations)
+
+
+def single_mode_state(spec: InitialStateSpec, dim: int) -> KetEnsemble:
+    return KetEnsemble(SpaceLayout.single("osc", dim), oscillator_state(spec, dim))
 
 
 def geometric_mean_after_cutoff(nbar: float, dim: int) -> float:
