@@ -119,7 +119,7 @@ def dispatch(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config).apply_overrides(args.overrides)
-        if args.command == "switch" and config.schedule.kind != "switch":
+        if args.command == "switch" and config.schedule.type != "switch":
             raise ConfigError("the switch subcommand needs a switch schedule")
         if args.dry_run:
             _print_summary({"resolved_config": config.to_dict(),

@@ -43,10 +43,9 @@ class EvolutionResult:
             raise StateError("result times must be strictly increasing")
 
 
-def top_level_population(state: QuantumState | KetEnsemble, label: str = OSC_LABEL,
-                         levels: int = LEAKAGE_LEVELS) -> float:
-    """Probability mass in the top `levels` Fock levels of one factor."""
-    axis = state.layout.axis(label)
+def top_level_population(state: QuantumState | KetEnsemble) -> float:
+    """Probability mass in the top LEAKAGE_LEVELS Fock levels of the oscillator."""
+    axis = state.layout.axis(OSC_LABEL)
     dims = state.layout.dims
     if isinstance(state, KetEnsemble):
         probs = (state.kets.real ** 2 + state.kets.imag ** 2).sum(axis=1)
@@ -54,7 +53,7 @@ def top_level_population(state: QuantumState | KetEnsemble, label: str = OSC_LAB
         probs = np.real(np.diagonal(state.data))
     sum_axes = tuple(i for i in range(len(dims)) if i != axis)
     pops = probs.reshape(dims).sum(axis=sum_axes)
-    k = min(levels, dims[axis])
+    k = min(LEAKAGE_LEVELS, dims[axis])
     return float(pops[-k:].sum())
 
 

@@ -17,12 +17,14 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from functools import partial
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 import hashlib
 import itertools
 import json
 import math
 import os
+import typing
 
 import numpy as np
 
@@ -42,6 +44,12 @@ TWO_PI = 2.0 * math.pi
 
 # ---------------------------------------------------------------------------
 # configuration documents
+# One codec reads and writes every config dataclass from its fields and their
+# annotations: a dataclass is an object keyed by its field names, or inside a
+# tuple the list of its field values; a complex number is [re, im].  Fields
+# that are None, or that the object's kind does not read (_UNREAD), are left
+# out.  Decoding rejects unknown keys and converts each value to its field's
+# annotated type; `sweep` is an untyped dict.
 
 @dataclass(frozen=True)
 class SwitchSegment:
@@ -51,15 +59,15 @@ class SwitchSegment:
 
 @dataclass(frozen=True)
 class ScheduleSpec:
-    kind: str = "continuous"            # "continuous" | "switch"
+    type: str = "continuous"            # "continuous" | "switch"
     tau_max: float = TWO_PI
     points: int = DEFAULT_POINTS
     segments: tuple[SwitchSegment, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("continuous", "switch"):
-            raise ConfigError(f"schedule kind must be continuous|switch, got {self.kind!r}")
-        if self.kind == "switch" and not self.segments:
+        if self.type not in ("continuous", "switch"):
+            raise ConfigError(f"schedule type must be continuous|switch, got {self.type!r}")
+        if self.type == "switch" and not self.segments:
             raise ConfigError("switch schedule needs at least one segment")
         if any(s.tau <= 0 for s in self.segments):
             raise ConfigError("switch segments need strictly positive durations")
@@ -69,26 +77,6 @@ class ScheduleSpec:
             raise ConfigError(f"schedule tau_max must be finite and >= 0, got {self.tau_max}")
         if self.points > 1 and self.tau_max == 0:
             raise ConfigError(f"a schedule of {self.points} points needs tau_max > 0")
-
-    def to_dict(self) -> dict:
-        if self.kind == "switch":
-            return {"type": "switch",
-                    "segments": [[s.order, s.tau] for s in self.segments]}
-        return {"type": "continuous", "tau_max": self.tau_max, "points": self.points}
-
-    @staticmethod
-    def from_dict(d: dict) -> "ScheduleSpec":
-        kind = d.get("type", "continuous")
-        if kind == "switch":
-            try:
-                segs = tuple(SwitchSegment(int(k), float(tau))
-                             for k, tau in d["segments"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad switch schedule: {exc}") from exc
-            return ScheduleSpec(kind="switch", segments=segs)
-        return ScheduleSpec(kind="continuous",
-                            tau_max=float(d.get("tau_max", TWO_PI)),
-                            points=int(d.get("points", DEFAULT_POINTS)))
 
 
 @dataclass(frozen=True)
@@ -102,20 +90,10 @@ class DiagnosticsFlags:
             raise ConfigError(f"a Wigner grid needs at least 2 points per axis, "
                               f"got {self.wigner_points}")
 
-    def to_dict(self) -> dict:
-        return {"wigner": self.wigner, "shell_removal": self.shell_removal,
-                "wigner_points": self.wigner_points}
-
-    @staticmethod
-    def from_dict(d: dict) -> "DiagnosticsFlags":
-        return DiagnosticsFlags(bool(d.get("wigner", False)),
-                                bool(d.get("shell_removal", False)),
-                                int(d.get("wigner_points", 201)))
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    name: str
+    name: str = field(default="scenario", kw_only=True)
     model: ModelSpec
     initial: InitialStateSpec
     schedule: ScheduleSpec = ScheduleSpec()
@@ -128,13 +106,14 @@ class ScenarioConfig:
         ladder = self.cutoff_ladder
         if ladder and any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ConfigError(f"cutoff ladder must be strictly increasing, got {ladder}")
-        for axis, vals in self.sweep.items():
-            if not isinstance(vals, (list, tuple)) or len(vals) == 0:
-                raise ConfigError(f"sweep axis {axis!r} must be a non-empty list")
         if self.sweep and frozenset(self.sweep) not in _SWEEP_KINDS:
             accepted = "; ".join(" + ".join(_ordered(axes)) for axes in _SWEEP_KINDS)
             raise ConfigError(f"sweep axes {sorted(self.sweep)} are not one of the "
                               f"accepted sets: {accepted}")
+        for axis, vals in self.sweep.items():
+            if not isinstance(vals, (list, tuple)) or len(vals) == 0:
+                raise ConfigError(f"sweep axis {axis!r} must be a non-empty list")
+            list(map(_AXES[axis][0], vals))
         if not (math.isfinite(self.lindblad_tol) and self.lindblad_tol > 0):
             raise ConfigError(f"lindblad_tol must be finite and > 0, got {self.lindblad_tol}")
 
@@ -142,34 +121,11 @@ class ScenarioConfig:
         return self.cutoff_ladder or (self.model.cutoff,)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "model": self.model.to_dict(),
-            "initial": self.initial.to_dict(),
-            "schedule": self.schedule.to_dict(),
-            "diagnostics": self.diagnostics.to_dict(),
-            "cutoff_ladder": list(self.cutoff_ladder),
-            "sweep": {k: list(v) for k, v in sorted(self.sweep.items())},
-            "lindblad_tol": self.lindblad_tol,
-        }
+        return to_document(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ScenarioConfig":
-        try:
-            return ScenarioConfig(
-                name=str(d.get("name", "scenario")),
-                model=ModelSpec.from_dict(d["model"]),
-                initial=InitialStateSpec.from_dict(d["initial"]),
-                schedule=ScheduleSpec.from_dict(d.get("schedule", {})),
-                diagnostics=DiagnosticsFlags.from_dict(d.get("diagnostics", {})),
-                cutoff_ladder=tuple(int(c) for c in d.get("cutoff_ladder", [])),
-                sweep=dict(d.get("sweep", {})),
-                lindblad_tol=float(d.get("lindblad_tol", 1e-7)),
-            )
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad scenario document: {exc}") from exc
+        return from_document(ScenarioConfig, d)
 
     def hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -190,22 +146,94 @@ class ScenarioConfig:
                 value = json.loads(raw)
             except json.JSONDecodeError:
                 value = raw
+            *path, last = key.split(".")
             node = doc
-            parts = key.split(".")
-            for part in parts[:-1]:
-                if part not in node or not isinstance(node[part], dict):
-                    raise ConfigError(f"override key {key!r} does not exist in the config")
-                node = node[part]
-            if parts[-1] not in node:
+            for part in path:
+                node = node.get(part) if isinstance(node, dict) else None
+            if not isinstance(node, dict) or last not in node:
                 raise ConfigError(f"override key {key!r} does not exist in the config")
-            node[parts[-1]] = value
-        ladder, cutoff = doc["cutoff_ladder"], doc["model"]["cutoff"]
+            node[last] = value
+        config = ScenarioConfig.from_dict(doc)
+        ladder, cutoff = config.cutoff_ladder, config.model.cutoff
         if "model.cutoff" in keys and "cutoff_ladder" not in keys and ladder \
                 and ladder[-1] != cutoff:
             raise ConfigError(f"model.cutoff={cutoff} would be ignored: runs use "
-                              f"cutoff_ladder {ladder}, whose top is {ladder[-1]}; "
+                              f"cutoff_ladder {list(ladder)}, whose top is {ladder[-1]}; "
                               f"set cutoff_ladder as well")
-        return ScenarioConfig.from_dict(doc)
+        return config
+
+
+_UNREAD = {     # config dataclass -> the fields an object of it does not read
+    ModelSpec: lambda m: {"absorber_dim"} if m.absorber == "qubit" else set(),
+    ScheduleSpec: lambda s: {"tau_max", "points"} if s.type == "switch" else {"segments"},
+    InitialStateSpec: lambda s: {"n", "nbar", "p", "beta"} - {
+        "fock": {"n"}, "admixture": {"n", "p"}, "thermal": {"nbar"},
+        "phase_randomized_coherent": {"nbar"}, "coherent": {"beta"}}.get(s.kind, set()),
+}
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_SCALARS = {    # annotation -> (accepts a document value, what the value must be)
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    int: (lambda v: _number(v) and (isinstance(v, int) or v.is_integer()), "an integer"),
+    float: (_number, "a number"),
+    complex: (lambda v: _number(v) or (isinstance(v, list) and len(v) == 2
+                                       and all(map(_number, v))), "a number or [re, im]"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    dict: (lambda v: isinstance(v, dict), "a JSON object"),
+}
+
+
+def to_document(value):
+    """The JSON document of a config dataclass, or of one of its values."""
+    if is_dataclass(value):
+        unread = _UNREAD.get(type(value), lambda _: set())(value)
+        return {f.name: to_document(getattr(value, f.name)) for f in fields(value)
+                if f.name not in unread and getattr(value, f.name) is not None}
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, dict):
+        return {k: to_document(v) for k, v in sorted(value.items())}
+    if isinstance(value, (tuple, list)):
+        return [[to_document(getattr(v, f.name)) for f in fields(v)] if is_dataclass(v)
+                else to_document(v) for v in value]
+    return value
+
+
+def from_document(tp, doc, where: str = ""):
+    """The value of annotation `tp` (a config dataclass, for a whole document)
+    read from its document; `where`, its dotted path, is named in errors."""
+    args = typing.get_args(tp)
+    if type(None) in args:                          # X | None
+        return None if doc is None else from_document(args[0], doc, where)
+    if typing.get_origin(tp) is tuple:              # tuple[X, ...]
+        if not isinstance(doc, list):
+            raise ConfigError(f"{where} must be a list, got {doc!r}")
+        if is_dataclass(args[0]):                   # each X is the list of its field values
+            names = [f.name for f in fields(args[0])]
+            if any(not isinstance(row, list) or len(row) != len(names) for row in doc):
+                raise ConfigError(f"{where} must hold lists [{', '.join(names)}], got {doc!r}")
+            doc = [dict(zip(names, row)) for row in doc]
+        return tuple(from_document(args[0], v, f"{where}[{i}]") for i, v in enumerate(doc))
+    if not is_dataclass(tp):
+        accepts, what = _SCALARS[tp]
+        if not accepts(doc):
+            raise ConfigError(f"{where} must be {what}, got {doc!r}")
+        return complex(*doc) if isinstance(doc, list) else tp(doc)
+    name = where or "the config"
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {doc!r}")
+    hints = typing.get_type_hints(tp)
+    if unknown := sorted(doc.keys() - hints):
+        raise ConfigError(f"unknown key {unknown[0]!r} in {name}")
+    try:
+        return tp(**{key: from_document(hints[key], value, f"{where}.{key}".lstrip("."))
+                     for key, value in doc.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def load_config(path) -> ScenarioConfig:
@@ -275,12 +303,12 @@ def _evolve(config: ScenarioConfig, cutoff: int, taus, observe,
     {cutoff: propagator}), building and adding it when missing.
     Returns (taus, raw times)."""
     sched = config.schedule
-    if sched.kind == "switch" and taus is not None:
+    if sched.type == "switch" and taus is not None:
         raise ConfigError("state reconstruction is only defined for continuous schedules")
     model = replace(config.model, cutoff=cutoff)
     state0 = states.make_state(config.initial, model.layout(), pump_amplitude=model.pump)
     scale = model.tau_scale()
-    if sched.kind == "switch":
+    if sched.type == "switch":
         segs = sched.segments
         result = sequential_switch([s.order for s in segs],
                                    [model.coupling(s.order) for s in segs],
@@ -375,7 +403,7 @@ def run_point(config: ScenarioConfig, coords: dict | None = None,
     propagators = {} if propagators is None else propagators
     ladder = config.ladder()
     keep_states = ((config.diagnostics.wigner or config.diagnostics.shell_removal)
-                   and config.schedule.kind == "continuous")
+                   and config.schedule.type == "continuous")
     max_by_cutoff = []
     for cutoff in ladder:
         records: list[DiagnosticsRecord] = []
@@ -499,7 +527,7 @@ def _unitary_models(config: ScenarioConfig) -> list[ModelSpec]:
     that propagates through an eigendecomposition (dephased and switch runs
     build no propagator).  The pump amplitude enters only the initial state,
     so it is replaced by the pump dimension it sets."""
-    if config.model.dephasing_rate > 0 or config.schedule.kind == "switch":
+    if config.model.dephasing_rate > 0 or config.schedule.type == "switch":
         return []
     model = config.model
     if model.has_pump:
@@ -535,9 +563,11 @@ def _admixture(config: ScenarioConfig, p) -> ScenarioConfig:
 
 # axis -> (its coordinate in the results, the config edit of one value).  The
 # order of this map is the order of a sweep's cartesian product (n before G,
-# omega before Omega); config documents sort their sweep keys.
+# omega before Omega); config documents sort their sweep keys.  ScenarioConfig
+# checks that every value gives a coordinate.
 _AXES: dict[str, tuple[Callable, Callable]] = {
-    "n": (int, lambda cfg, n: replace(cfg, initial=replace(cfg.initial, n=int(n)))),
+    "n": (partial(from_document, int, where="sweep.n"),
+          lambda cfg, n: replace(cfg, initial=replace(cfg.initial, n=int(n)))),
     "p": (float, _admixture),
     "G": (float, lambda cfg, ratio: _model(cfg, interactions=tuple(
         Interaction(it.order, it.coupling if it.order == 1
@@ -561,10 +591,9 @@ def _shell_removal_at_max(shared, cfg: ScenarioConfig, run: PointRun) -> None:
             observables.remove_gaussian_shell(run.snapshots["max"]))
 
 
-def _count_local_maxima(values: np.ndarray, prominence: float = 0.01) -> int:
+def _count_local_maxima(values: np.ndarray) -> int:
     from scipy.signal import find_peaks
-    peaks, _ = find_peaks(values, prominence=prominence)
-    return int(len(peaks))
+    return int(len(find_peaks(values, prominence=0.01)[0]))
 
 
 def _ratio_argmax(shared, config: ScenarioConfig, runs: list[PointRun],
@@ -734,33 +763,27 @@ def _variant_report(config: ScenarioConfig, neg_times: int,
 
 
 def robustness_suite(base: ScenarioConfig, jobs: int = 1,
-                     output_dir: str | None = None,
-                     mw_absorber_dim: int = 32, mw_cutoff: int = 96,
-                     mixed_ladder: tuple[int, ...] = (110, 120),
-                     dephasing_cutoff: int = 120,
-                     admixture_ps=(0.25, 0.5, 0.75)) -> dict:
+                     output_dir: str | None = None) -> dict:
     """Input-state and environment variants of the base scenario.
 
-    Runs, at the base parameters: oscillator dephasing, thermal and
-    phase-randomized-coherent (Poissonian) inputs, the unsaturable-absorber
-    mixer, and ground-state admixtures.  Mixed-input cutoffs default to a
-    ladder topping out at 120, where the reference values were computed; the
-    coherence of broad mixed inputs keeps creeping upward with cutoff, and
-    the convergence flag reports that honestly.
+    Runs, at the base parameters: oscillator dephasing at cutoff 120, thermal
+    and phase-randomized-coherent (Poissonian) inputs on the ladder (110, 120),
+    the unsaturable-absorber mixer (absorber dimension 32, cutoff 96), and
+    ground-state admixtures.  The mixed inputs' ladder tops out where the
+    reference values were computed; their coherence keeps creeping upward
+    with cutoff, and the convergence flag reports that honestly.
     """
     rate = 0.1 * base.model.coupling(1)
     variants = {        # name -> (config, negativity samples after the max)
-        "dephasing": (replace(_model(base, dephasing_rate=rate),
-                              cutoff_ladder=(dephasing_cutoff,)), 3),
+        "dephasing": (replace(_model(base, dephasing_rate=rate), cutoff_ladder=(120,)), 3),
         "thermal": (replace(base, initial=InitialStateSpec("thermal", nbar=7.0),
-                            cutoff_ladder=mixed_ladder), 0),
+                            cutoff_ladder=(110, 120)), 0),
         "phase_randomized_coherent": (
             replace(base, initial=InitialStateSpec("phase_randomized_coherent", nbar=7.0),
-                    cutoff_ladder=mixed_ladder), 0),
-        "mw_mixer": (replace(_model(base, absorber="oscillator",
-                                    absorber_dim=mw_absorber_dim),
-                             cutoff_ladder=(mw_cutoff,)), 0),
-        **{f"admixture_p{p}": (_admixture(base, p), 0) for p in admixture_ps},
+                    cutoff_ladder=(110, 120)), 0),
+        "mw_mixer": (replace(_model(base, absorber="oscillator", absorber_dim=32),
+                             cutoff_ladder=(96,)), 0),
+        **{f"admixture_p{p}": (_admixture(base, p), 0) for p in (0.25, 0.5, 0.75)},
     }
     shared = _SharedPropagators([cfg for cfg, _ in variants.values()] + [base], jobs)
     reports = _parallel(lambda v: _variant_report(v[0], v[1], shared.for_run(v[0])),

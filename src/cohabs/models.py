@@ -34,7 +34,7 @@ class Interaction:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Declarative model description; serializable to a JSON document."""
+    """Declarative model description."""
 
     interactions: tuple[Interaction, ...]
     absorber: str = "qubit"                 # "qubit" | "oscillator"
@@ -94,55 +94,6 @@ class ModelSpec:
         """Coupling of the highest-order interaction; 1.0 if it vanishes."""
         hi = max(self.interactions, key=lambda it: it.order)
         return abs(hi.coupling) if hi.coupling != 0.0 else 1.0
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        d = {
-            "absorber": self.absorber,
-            "interactions": [[it.order, it.coupling] for it in self.interactions],
-            "omega": self.omega,
-            "Omega": self.Omega,
-            "dephasing_rate": self.dephasing_rate,
-            "cutoff": self.cutoff,
-        }
-        if self.absorber == "oscillator":
-            d["absorber_dim"] = self.absorber_dim
-        if self.Delta is not None:
-            d["Delta"] = self.Delta
-        if self.nu is not None:
-            d["nu"] = self.nu
-        if self.pump is not None:
-            d["pump"] = [self.pump.real, self.pump.imag] if isinstance(self.pump, complex) \
-                else float(self.pump)
-        if self.pump_dim is not None:
-            d["pump_dim"] = self.pump_dim
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelSpec":
-        try:
-            inter = tuple(Interaction(int(k), float(g)) for k, g in d["interactions"])
-            pump = d.get("pump")
-            if isinstance(pump, (list, tuple)):
-                pump = complex(pump[0], pump[1])
-            elif pump is not None:
-                pump = complex(pump)
-            return ModelSpec(
-                interactions=inter,
-                absorber=d.get("absorber", "qubit"),
-                absorber_dim=int(d.get("absorber_dim", 2)),
-                omega=float(d.get("omega", 0.0)),
-                Omega=float(d.get("Omega", 0.0)),
-                Delta=None if d.get("Delta") is None else float(d["Delta"]),
-                nu=None if d.get("nu") is None else float(d["nu"]),
-                dephasing_rate=float(d.get("dephasing_rate", 0.0)),
-                pump=pump,
-                pump_dim=None if d.get("pump_dim") is None else int(d["pump_dim"]),
-                cutoff=int(d.get("cutoff", 60)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad model document: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -136,15 +136,13 @@ def _mode_expm(generator: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(generator)
 
 
-def remove_gaussian_shell(rho, max_rounds: int = 8,
-                          residual_atol: float = SHELL_RESIDUAL_ATOL,
-                          leakage_atol: float = SHELL_LEAKAGE_ATOL) -> np.ndarray:
+def remove_gaussian_shell(rho, max_rounds: int = 8) -> np.ndarray:
     """Strip the Gaussian envelope: displacement to zero means, phase rotation
     diagonalizing the covariance, and squeezing equalizing its diagonal.
 
     The three operations are applied in that order and repeated (truncation
     makes each pass slightly inexact) until the means and covariance residuals
-    pass `residual_atol`.  Raises ShellRemovalError, carrying the partial
+    pass SHELL_RESIDUAL_ATOL.  Raises ShellRemovalError, carrying the partial
     state and achieved residuals, if the targets cannot be met or squeezing
     pushes population into the top Fock levels.
     """
@@ -161,7 +159,7 @@ def remove_gaussian_shell(rho, max_rounds: int = 8,
 
     for _ in range(max_rounds):
         res = residuals(rho)
-        if max(res.values()) < residual_atol:
+        if max(res.values()) < SHELL_RESIDUAL_ATOL:
             return rho
         # displacement D(-<b>)
         amp = -_ladder_moments(rho)[1]
@@ -180,14 +178,14 @@ def remove_gaussian_shell(rho, max_rounds: int = 8,
         rho = s @ rho @ s.conj().T
         rho = 0.5 * (rho + rho.conj().T)
         trace = float(np.trace(rho).real)
-        if abs(trace - 1.0) > leakage_atol:
+        if abs(trace - 1.0) > SHELL_LEAKAGE_ATOL:
             raise ShellRemovalError(
                 f"squeezing leaked {abs(trace-1.0):.2e} probability past the cutoff",
                 state=rho / trace, residuals=residuals(rho / trace))
         rho = rho / trace
 
     res = residuals(rho)
-    if max(res.values()) >= residual_atol:
+    if max(res.values()) >= SHELL_RESIDUAL_ATOL:
         raise ShellRemovalError(
             f"shell removal stalled with residuals {res}", state=rho, residuals=res)
     return rho
@@ -205,10 +203,10 @@ class WignerGridSpec:
         return np.linspace(-self.extent, self.extent, self.points)
 
     @staticmethod
-    def for_state(rho, points: int = 201, minimum: float = 8.0) -> "WignerGridSpec":
-        """Extent covering 4 sqrt(mean_N + 1), never below the default."""
+    def for_state(rho, points: int = 201) -> "WignerGridSpec":
+        """Extent covering 4 sqrt(mean_N + 1), never below the default 8."""
         mean_n, _ = excitation_stats(rho)
-        return WignerGridSpec(extent=max(minimum, math.ceil(4.0 * math.sqrt(mean_n + 1.0))),
+        return WignerGridSpec(extent=max(8.0, math.ceil(4.0 * math.sqrt(mean_n + 1.0))),
                               points=points)
 
 
@@ -330,10 +328,10 @@ def negativity_volume(grid: WignerGrid) -> float:
     return float(neg.sum() * grid.dx * grid.dp)
 
 
-def radial_asymmetry(rho, radii, n_angles: int = 64) -> float:
-    """Largest spread of W around any sampled circle; ~0 for Fock-diagonal
-    states, whose Wigner functions are rotationally symmetric."""
-    angles = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
+def radial_asymmetry(rho, radii) -> float:
+    """Largest spread of W over 64 angles around each sampled circle; ~0 for
+    Fock-diagonal states, whose Wigner functions are rotationally symmetric."""
+    angles = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     worst = 0.0
     for r in radii:
         xs = r * np.cos(angles)

@@ -31,7 +31,7 @@ class InitialStateSpec:
     n: int = 0
     nbar: float = 0.0
     p: float = 0.0
-    beta: complex = 0.0
+    beta: complex = 0j
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -42,34 +42,6 @@ class InitialStateSpec:
             raise ConfigError(f"mean occupation must be >= 0, got {self.nbar}")
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"ground-state weight must lie in [0, 1], got {self.p}")
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind in ("fock", "admixture"):
-            d["n"] = self.n
-        if self.kind in ("thermal", "phase_randomized_coherent"):
-            d["nbar"] = self.nbar
-        if self.kind == "admixture":
-            d["p"] = self.p
-        if self.kind == "coherent":
-            d["beta"] = [self.beta.real, self.beta.imag]
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "InitialStateSpec":
-        try:
-            beta = d.get("beta", 0.0)
-            if isinstance(beta, (list, tuple)):
-                beta = complex(beta[0], beta[1])
-            return InitialStateSpec(
-                kind=d["kind"],
-                n=int(d.get("n", 0)),
-                nbar=float(d.get("nbar", 0.0)),
-                p=float(d.get("p", 0.0)),
-                beta=complex(beta),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad initial-state document: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -247,3 +247,57 @@ class TestExitCodes:
                        lindblad_tol=1e-300)
         cfg = write_config(tmp_path, doc)
         assert dispatch(["evolve", "--config", cfg]) == 4
+
+
+class TestDocumentRejections:
+    """Malformed documents exit 2 and name what is wrong; none used to."""
+
+    @pytest.mark.parametrize("document, key", [
+        (None, "lindblad_tl"), ("model", "dephasing_rat"), ("initial", "nbr"),
+        ("schedule", "point"), ("diagnostics", "wigner_point"),
+    ], ids=["top-level", "model", "initial", "schedule", "diagnostics"])
+    def test_unknown_key(self, tmp_path, capsys, document, key):
+        doc = tiny_doc(diagnostics={"wigner": False})
+        (doc if document is None else doc[document])[key] = 0.1
+        code = dispatch(["evolve", "--config", write_config(tmp_path, doc), "--dry-run"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"unknown key {key!r} in {document or 'the config'}" in err
+
+    @pytest.mark.parametrize("config, override, message", [
+        ("fig1", "diagnostics.wigner=False", "diagnostics.wigner must be true or false"),
+        ("fig1", "initial.n=5.7", "initial.n must be an integer"),
+        ("fig3", "schedule.points=600.9", "schedule.points must be an integer"),
+        ("fig4", "sweep.n=[2, 5.7]", "sweep.n must be an integer"),
+        ("fig1", "schedule.type=swtich", "schedule type must be continuous|switch"),
+        ("fig1", "model.omega=fast", "model.omega must be a number"),
+        ("fig1", "model.interactions=[[1, 1.0], [2]]",
+         "model.interactions must hold lists [order, coupling]"),
+    ], ids=["bool-string", "int-fraction", "points-fraction", "sweep-n-fraction",
+            "schedule-type", "float-string", "interaction-row"])
+    def test_wrong_type(self, capsys, config, override, message):
+        argv = ["sweep", "--config", str(CONFIGS / f"{config}.json"), "--dry-run",
+                "--set", override]
+        assert dispatch(argv) == 2
+        assert message in capsys.readouterr().err
+
+    def test_integral_float_is_an_integer(self, capsys):
+        code, payload = run_json(capsys, ["evolve", "--config", str(CONFIGS / "fig1.json"),
+                                          "--dry-run", "--set", "initial.n=5.0"])
+        assert code == 0
+        assert json.dumps(payload["resolved_config"]["initial"]) == '{"kind": "fock", "n": 5}'
+
+    @pytest.mark.parametrize("override", ["schedule=[1]", "initial=5", "model=5",
+                                          'diagnostics="x"'])
+    def test_sub_document_not_an_object(self, capsys, override):
+        argv = ["evolve", "--config", str(CONFIGS / "fig1.json"), "--dry-run",
+                "--set", override]
+        assert dispatch(argv) == 2
+        name = override.split("=")[0]
+        assert f"{name} must be a JSON object" in capsys.readouterr().err
+
+    def test_document_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        assert dispatch(["evolve", "--config", str(path), "--dry-run"]) == 2
+        assert "the config must be a JSON object" in capsys.readouterr().err

@@ -2,6 +2,7 @@ from dataclasses import replace
 import hashlib
 import json
 import math
+import pathlib
 
 from hypothesis import example, given, strategies as st
 import numpy as np
@@ -11,13 +12,24 @@ from cohabs import experiments
 from cohabs.errors import ConfigError
 from cohabs.evolution import HamiltonianPropagator
 from cohabs.experiments import (DiagnosticsFlags, ScenarioConfig, ScheduleSpec,
-                                SwitchSegment, _headline, _RecordStates, load_config,
-                                oscillator_states, run_scenario, sweep, wigner_snapshot)
+                                SwitchSegment, _headline, _RecordStates, from_document,
+                                load_config, oscillator_states, run_scenario, sweep,
+                                to_document, wigner_snapshot)
 from cohabs.models import Interaction, ModelSpec
 from cohabs.observables import save_wigner_csv, save_wigner_text
 from cohabs.states import InitialStateSpec
 
 TWO_PI = 2 * math.pi
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+SHIPPED_HASHES = {
+    "appendixA": "b1d1eb37181ebff4", "appendixB": "60913cbca95549aa",
+    "appendixC_dephasing": "0fca012f65814e31", "appendixC_mw": "a9ad0ef332de62d7",
+    "appendixC_prcoherent": "c517e5f8284a6324", "appendixC_thermal": "d5bd00891ca71de6",
+    "appendixC_weak": "a829168812d67c86", "appendixC_weakscan": "525e598aba1060e1",
+    "appendixD": "733566eb9d28ea3f", "appendixE": "56f7b8823d5458c4",
+    "fig1": "22b7ec6ea9e6486b", "fig2": "002bd6b0cc08daec", "fig3": "339b6016bebe308d",
+    "fig4": "e91aa1ee9842e6f6", "fock0": "37e51fe48e638ed0", "robustness": "9643b2c96e7653c2",
+}
 
 
 def tiny_config(name="tiny", cutoff=24, n=3, points=40, tau_max=1.0, **kw):
@@ -73,7 +85,7 @@ class TestRunScenario:
             model=ModelSpec(interactions=(Interaction(1, 1.0), Interaction(2, 0.1)),
                             cutoff=20),
             initial=InitialStateSpec("fock", n=5),
-            schedule=ScheduleSpec(kind="switch",
+            schedule=ScheduleSpec(type="switch",
                                   segments=(SwitchSegment(1, 0.6), SwitchSegment(2, 0.6))),
         )
         run = run_scenario(cfg)
@@ -218,12 +230,49 @@ class TestConfigDocuments:
             load_config(tmp_path / "missing.json")
 
     def test_bundled_configs_parse(self):
-        import pathlib
-        configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
-        assert configs.is_dir()
-        for path in sorted(configs.glob("*.json")):
+        assert CONFIGS.is_dir()
+        for path in sorted(CONFIGS.glob("*.json")):
             cfg = load_config(path)
             assert cfg.name == path.stem
+
+    @pytest.mark.parametrize("name, expected", sorted(SHIPPED_HASHES.items()))
+    def test_shipped_config_hash(self, name, expected):
+        # a change to the document format moves these
+        assert load_config(CONFIGS / f"{name}.json").hash() == expected
+
+    @pytest.mark.parametrize("initial, doc", [
+        (InitialStateSpec("fock", n=3, nbar=1.0, p=0.5, beta=1j), {"kind": "fock", "n": 3}),
+        (InitialStateSpec("admixture", n=3, p=0.5), {"kind": "admixture", "n": 3, "p": 0.5}),
+        (InitialStateSpec("thermal", n=3, nbar=1.5), {"kind": "thermal", "nbar": 1.5}),
+        (InitialStateSpec("coherent", beta=1.0 - 2.0j), {"kind": "coherent",
+                                                         "beta": [1.0, -2.0]}),
+        (InitialStateSpec("ground", n=2), {"kind": "ground"}),
+    ], ids=["fock", "admixture", "thermal", "coherent", "ground"])
+    def test_initial_document_holds_the_fields_its_kind_reads(self, initial, doc):
+        assert to_document(initial) == doc
+        assert to_document(from_document(InitialStateSpec, doc, "initial")) == doc
+
+    def test_schedule_documents(self):
+        switch = ScheduleSpec(type="switch", segments=(SwitchSegment(2, 0.5),))
+        assert to_document(switch) == {"type": "switch", "segments": [[2, 0.5]]}
+        assert to_document(ScheduleSpec(tau_max=1.0, points=3)) == {
+            "type": "continuous", "tau_max": 1.0, "points": 3}
+
+    def test_decoding_converts_to_the_annotated_type(self):
+        doc = tiny_config().to_dict()
+        doc["model"].update(omega=1, interactions=[[1, 1], [2.0, 0.1]], pump=2)
+        doc["initial"]["n"] = 4.0
+        cfg = ScenarioConfig.from_dict(doc)
+        assert type(cfg.model.omega) is float
+        assert [type(v) for it in cfg.model.interactions for v in (it.order, it.coupling)] \
+            == [int, float, int, float]
+        assert cfg.model.pump == 2 + 0j and type(cfg.model.pump) is complex
+        assert type(cfg.initial.n) is int and cfg.initial.n == 4
+
+    def test_name_defaults(self):
+        doc = tiny_config().to_dict()
+        del doc["name"]
+        assert ScenarioConfig.from_dict(doc).name == "scenario"
 
 
 def dephased_config(dephasing_rate=0.05, shell_removal=False):

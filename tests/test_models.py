@@ -5,6 +5,7 @@ import pytest
 
 from cohabs.errors import ConfigError, LayoutError, TruncationError
 from cohabs.evolution import HamiltonianPropagator
+from cohabs.experiments import from_document, to_document
 from cohabs.hilbert import partial_trace
 from cohabs.models import Interaction, ModelSpec, build_hamiltonian, dephasing_dissipator
 from cohabs import states
@@ -327,7 +328,7 @@ class TestModelSpec:
     def test_roundtrip_document(self):
         s = spec(omega=0.1, Omega=0.2, dephasing_rate=0.05, pump=2.0 + 1.0j,
                  pump_dim=7, cutoff=20)
-        assert ModelSpec.from_dict(s.to_dict()) == s
+        assert from_document(ModelSpec, to_document(s), "model") == s
 
     def test_needs_interaction(self):
         with pytest.raises(ConfigError):
