@@ -3,7 +3,7 @@ and nonlinear phase-insensitive absorption."""
 
 from .errors import (ConfigError, DimensionError, IntegrationError, LayoutError,
                      ShellRemovalError, SimulationError, StateError, TruncationError)
-from .hilbert import KetEnsemble, Operator, QuantumState, SpaceLayout, partial_trace
+from .hilbert import KetEnsemble, QuantumState, SpaceLayout, partial_trace
 from .models import Interaction, ModelSpec, build_hamiltonian, dephasing_dissipator
 from .states import InitialStateSpec, make_state
 from .evolution import (EvolutionResult, HamiltonianPropagator, lindblad_evolve,

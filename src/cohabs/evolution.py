@@ -1,16 +1,17 @@
 """Time evolution: exact unitary propagation, piecewise Hamiltonian
 switching and a Lindblad master-equation integrator.
 
-Unitary propagation goes through a Hermitian eigendecomposition, which is
-exact for arbitrary times and amortizes across the hundreds of output points
-of a sweep.  Unitary runs take and give `KetEnsemble`s: a mixed input that
-is diagonal in the Fock basis costs one column per nonzero population, never
-a dense density matrix.  The master equation evolves the dense density
+Every Hamiltonian is real symmetric (see `models`), so unitary propagation
+goes through a real eigendecomposition, which is exact for arbitrary times
+and amortizes across the hundreds of output points of a sweep.  Unitary
+runs take and give `KetEnsemble`s: a mixed input that is diagonal in the
+Fock basis costs one column per nonzero population, never a dense density
+matrix.  The master equation evolves the dense density
 matrix, held as one real matrix, and gives `QuantumState`s.  It is
 integrated by an adaptive Strang splitting: every step composes the exact
 unitary (a phase in the eigenbasis of H) with the exact dissipative
-semigroup of jump operators diagonal in the storage basis, so every step is
-a CPTP map and the state stays positive at any tolerance.
+semigroup of real jump operators diagonal in the storage basis, so every
+step is a CPTP map and the state stays positive at any tolerance.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .errors import IntegrationError, LayoutError, SimulationError, StateError
-from .hilbert import KetEnsemble, Operator, QuantumState
-from .models import OSC_LABEL
+from .errors import IntegrationError, LayoutError, StateError
+from .hilbert import KetEnsemble, QuantumState
+from .models import OSC_LABEL, Hamiltonian
 
 LEAKAGE_LEVELS = 5
 LEAKAGE_WARN = 1e-6
@@ -58,11 +59,9 @@ def top_level_population(state: QuantumState | KetEnsemble) -> float:
 
 
 def _product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x for a complex (D, K) block x.  A real `a` multiplies the real and
-    imaginary parts of x, interleaved as the columns of one real (D, 2K)
-    view, so it is never cast against a complex block."""
-    if np.iscomplexobj(a):
-        return a @ x
+    """a @ x for a real `a` and a complex (D, K) block x: `a` multiplies the
+    real and imaginary parts of x, interleaved as the columns of one real
+    (D, 2K) view, so it is never cast against a complex block."""
     return (a @ np.ascontiguousarray(x, complex).view(float)).view(complex)
 
 
@@ -82,24 +81,20 @@ class EigenExpansion:
 class HamiltonianPropagator:
     """Eigendecomposition-backed exact propagator exp(-i H t).
 
-    One decomposition serves every requested time.  Every state is
-    propagated as a ket ensemble (see `KetEnsemble`).  A Hamiltonian whose
-    imaginary part is exactly zero (every model in `models`) is
-    diagonalised in real arithmetic and keeps real eigenvectors.
+    One decomposition of the real symmetric H, with real eigenvectors V,
+    serves every requested time.  Every state is propagated as a ket
+    ensemble (see `KetEnsemble`).
     """
 
-    def __init__(self, hamiltonian: Operator):
-        if not hamiltonian.hermitian:
-            raise StateError("propagation requires a Hermitian Hamiltonian")
+    def __init__(self, hamiltonian: Hamiltonian):
         self.layout = hamiltonian.layout
-        h = hamiltonian.entries
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(h if h.imag.any() else h.real)
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(hamiltonian.entries)
 
     def expand(self, state0: KetEnsemble) -> EigenExpansion:
         """C = V^dag Psi0, computed once per trajectory."""
         if state0.layout != self.layout:
             raise LayoutError("state layout does not match the Hamiltonian")
-        return EigenExpansion(state0, _product(self.eigenvectors.conj().T, state0.kets))
+        return EigenExpansion(state0, _product(self.eigenvectors.T, state0.kets))
 
     def state_at(self, state0: KetEnsemble | EigenExpansion, t: float) -> KetEnsemble:
         """The state at time t.  Pass an EigenExpansion to reuse one
@@ -160,16 +155,14 @@ def _decode(m: np.ndarray) -> np.ndarray:
 
 
 def _congruence(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """a rho a^dag on encodings: a real `a` keeps S and A apart, so two real products."""
-    if np.isrealobj(a):
-        return a @ m @ a.T
-    rho = a @ _decode(m) @ a.conj().T
-    return rho.real + rho.imag
+    """a rho a^T on encodings, for a real `a`: it keeps S and A apart, so two
+    real products."""
+    return a @ m @ a.T
 
 
 def _hadamard(z: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Z o rho, elementwise, for a Hermitian Z, on encodings."""
-    return z * m if np.isrealobj(z) else z.real * m + z.imag * m.T
+    """Z o rho, elementwise, for a complex Hermitian Z, on encodings."""
+    return z.real * m + z.imag * m.T
 
 
 class _StrangStep:
@@ -177,46 +170,44 @@ class _StrangStep:
 
         drho/dt = -i[H, rho] + sum_L (L rho L^dag - {L^dag L, rho}/2),
 
-    for H = V diag(E) V^dag and jump operators L = diag(d) diagonal in the
-    storage basis (number dephasing is).  It maps sigma, held in the
-    eigenbasis of H, to P o V^dag (exp(hK) o V (P o sigma) V^dag) V, with o
-    the elementwise product.  U(h/2) is the phase P_ij = p_i p_j^*, where
-    p = exp(-ihE/2); D(h) is the exact dissipative semigroup, where K_ij =
-    sum_L (d_i d_j^* - (|d_i|^2 + |d_j|^2)/2), -(gamma/2)(n_i - n_j)^2 for
-    number dephasing.  Each factor is CPTP, so every step is one too.
+    for the real symmetric H = V diag(E) V^T and real jump operators
+    L = diag(d) diagonal in the storage basis (number dephasing is, see
+    `models.dephasing_dissipator`).  It maps sigma, held in the eigenbasis of
+    H, to P o V^T (exp(hK) o V (P o sigma) V^T) V, with o the elementwise
+    product.  U(h/2) is the phase P_ij = p_i p_j^*, where p = exp(-ihE/2);
+    D(h) is the exact dissipative semigroup, where the real K_ij =
+    sum_L (d_i d_j - (d_i^2 + d_j^2)/2), -(gamma/2)(n_i - n_j)^2 for number
+    dephasing.  Each factor is CPTP, so every step is one too.
 
     rho = S + iA (S symmetric, A antisymmetric) is held as the real M = S + A.
-    A real V keeps S and A apart, so a basis change is V M V^T (two real
-    products), Z o rho for a Hermitian Z is Re Z o M + Im Z o M^T, and
-    ||M||_F = ||rho||_F.
+    The real V keeps S and A apart, so a basis change is V M V^T (two real
+    products); the real exp(hK) multiplies M directly, the phase P acts as
+    Re P o M + Im P o M^T, and ||M||_F = ||rho||_F.
     """
 
-    def __init__(self, hamiltonian: Operator, jump_ops: list[Operator]):
+    def __init__(self, hamiltonian: Hamiltonian, jumps: list[np.ndarray]):
         prop = HamiltonianPropagator(hamiltonian)
         self.energies, self.vecs = prop.eigenvalues, prop.eigenvectors
-        rates = np.zeros((len(self.energies),) * 2, complex)
-        for i, L in enumerate(jump_ops):
-            d = np.diagonal(L.entries)
-            if np.count_nonzero(L.entries - np.diag(d)):
-                raise SimulationError(f"jump operator {i} is not diagonal in the storage "
-                                      f"basis; only diagonal jumps are supported")
-            w = np.abs(d) ** 2
-            rates += np.outer(d, d.conj()) - 0.5 * (w[:, None] + w[None, :])
-        self.rates = rates if rates.imag.any() else rates.real
+        self.rates = np.zeros((len(self.energies),) * 2)
+        for d in jumps:
+            w = d * d
+            self.rates += np.outer(d, d) - 0.5 * (w[:, None] + w[None, :])
 
     def __call__(self, sigma: np.ndarray, h: float) -> np.ndarray:
         if h == 0.0:
             return sigma
         p = np.exp(-0.5j * h * self.energies)
         half = np.outer(p, p.conj())
-        rho = _hadamard(np.exp(h * self.rates), _congruence(self.vecs, _hadamard(half, sigma)))
-        return _hadamard(half, _congruence(self.vecs.conj().T, rho))
+        rho = np.exp(h * self.rates) * _congruence(self.vecs, _hadamard(half, sigma))
+        return _hadamard(half, _congruence(self.vecs.T, rho))
 
 
-def lindblad_evolve(hamiltonian: Operator, jump_ops, rho0: QuantumState | KetEnsemble,
+def lindblad_evolve(hamiltonian: Hamiltonian, jumps, rho0: QuantumState | KetEnsemble,
                     times, tol: float = 1e-8, observer=None,
                     store_states: bool = True) -> EvolutionResult:
-    """Integrate the master equation with adaptive Strang splitting.
+    """Integrate the master equation with adaptive Strang splitting, for the
+    jump operators whose real diagonals `jumps` holds (see
+    `models.dephasing_dissipator`).
 
     Every step composes exact CPTP maps (see `_StrangStep`), so the state
     stays positive and its trace stays 1 at any tolerance.  Each step of
@@ -229,8 +220,6 @@ def lindblad_evolve(hamiltonian: Operator, jump_ops, rho0: QuantumState | KetEns
     (carrying the time reached) on step-size underflow, and a StateError
     naming the output time when an output state is not positive.
     """
-    if not hamiltonian.hermitian:
-        raise StateError("master equation requires a Hermitian Hamiltonian")
     if rho0.layout != hamiltonian.layout:
         raise LayoutError("state layout does not match the Hamiltonian")
     times = np.asarray(list(times), float)
@@ -240,10 +229,10 @@ def lindblad_evolve(hamiltonian: Operator, jump_ops, rho0: QuantumState | KetEns
     if len(back):
         raise StateError(f"output times must be strictly increasing: {times[back[0] + 1]} "
                          f"follows {times[back[0]]}")
-    step = _StrangStep(hamiltonian, list(jump_ops))
+    step = _StrangStep(hamiltonian, list(jumps))
     rho_start = rho0.density()
     m_start = rho_start.real + rho_start.imag
-    sigma = _congruence(step.vecs.conj().T, m_start)
+    sigma = _congruence(step.vecs.T, m_start)
     layout = rho0.layout
     t = 0.0
     h = INITIAL_STEP

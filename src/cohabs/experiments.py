@@ -132,9 +132,9 @@ class ScenarioConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def apply_overrides(self, pairs: list[str]) -> "ScenarioConfig":
-        """Apply `--set dotted.key=value` overrides onto the document.  A
-        `model.cutoff` that would be ignored, because `cutoff_ladder` is kept
-        and its top cutoff differs, is an error."""
+        """Apply `--set dotted.key=value` overrides onto the document (see
+        `_override_slot`).  A `model.cutoff` that would be ignored, because
+        `cutoff_ladder` is kept and its top cutoff differs, is an error."""
         doc = self.to_dict()
         keys = set()
         for pair in pairs:
@@ -146,12 +146,7 @@ class ScenarioConfig:
                 value = json.loads(raw)
             except json.JSONDecodeError:
                 value = raw
-            *path, last = key.split(".")
-            node = doc
-            for part in path:
-                node = node.get(part) if isinstance(node, dict) else None
-            if not isinstance(node, dict) or last not in node:
-                raise ConfigError(f"override key {key!r} does not exist in the config")
+            node, last = _override_slot(doc, key)
             node[last] = value
         config = ScenarioConfig.from_dict(doc)
         ladder, cutoff = config.cutoff_ladder, config.model.cutoff
@@ -161,6 +156,22 @@ class ScenarioConfig:
                               f"cutoff_ladder {list(ladder)}, whose top is {ladder[-1]}; "
                               f"set cutoff_ladder as well")
         return config
+
+
+def _override_slot(doc: dict, key: str) -> tuple[dict, str]:
+    """The document node that holds the dotted override `key`, and the key
+    within it.  A part of `key` names a field of the config dataclass at that
+    point of the path by the type hints, so a field the document leaves out
+    (None, or not read by the object's kind) is reached too; inside the
+    untyped `sweep` a part must name a key the document holds."""
+    node, tp, parts = doc, ScenarioConfig, key.split(".")
+    for depth, part in enumerate(parts, 1):
+        hints = typing.get_type_hints(tp) if is_dataclass(tp) else {}
+        if not isinstance(node, dict) or part not in (hints or node):
+            raise ConfigError(f"override key {key!r} does not exist in the config")
+        if depth == len(parts):
+            return node, part
+        node, tp = node.setdefault(part, {}), hints.get(part)
 
 
 _UNREAD = {     # config dataclass -> the fields an object of it does not read
@@ -678,6 +689,18 @@ _SWEEP_KINDS = {
 }
 
 
+def _sweep_points(config: ScenarioConfig) -> list[tuple[ScenarioConfig, dict]]:
+    """(config, coordinates) of every point of the sweep's cartesian product."""
+    names = _ordered(config.sweep)
+    points = []
+    for values in itertools.product(*(config.sweep[axis] for axis in names)):
+        cfg = config
+        for axis, value in zip(names, values):
+            cfg = _AXES[axis][1](cfg, value)
+        points.append((cfg, {axis: _AXES[axis][0](v) for axis, v in zip(names, values)}))
+    return points
+
+
 def sweep(config: ScenarioConfig, jobs: int = 1,
           output_dir: str | None = None) -> SweepResult:
     """Every point of the cartesian product of the `config.sweep` axes, with
@@ -691,12 +714,7 @@ def sweep(config: ScenarioConfig, jobs: int = 1,
         raise ConfigError("the config has no sweep axes")
     kind = _SWEEP_KINDS[frozenset(config.sweep)]
     names = _ordered(config.sweep)
-    points = []
-    for values in itertools.product(*(config.sweep[axis] for axis in names)):
-        cfg = config
-        for axis, value in zip(names, values):
-            cfg = _AXES[axis][1](cfg, value)
-        points.append((cfg, {axis: _AXES[axis][0](v) for axis, v in zip(names, values)}))
+    points = _sweep_points(config)
     cfgs = [cfg for cfg, _ in points]
     shared = _SharedPropagators(cfgs + kind.companions(config, cfgs), jobs)
 

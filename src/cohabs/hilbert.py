@@ -1,5 +1,4 @@
-"""Composite Hilbert spaces: tensor layouts, dense operators and states,
-and the partial trace.
+"""Composite Hilbert spaces: tensor layouts, states and the partial trace.
 
 Conventions (fixed once, used everywhere):
 
@@ -11,11 +10,10 @@ Conventions (fixed once, used everywhere):
 
 States come in two types.  A `KetEnsemble` holds every input state and every
 state of a unitary run as a block of kets; a `QuantumState` holds the dense
-density matrix of a dephased (master-equation) run.  An `Operator` only
-holds a dense array with a verified hermiticity flag; every Hamiltonian and
-jump operator is built by `models`.  Operators and states are immutable
-after construction (their arrays are marked read-only), so they can be
-shared freely between worker threads.
+density matrix of a dephased (master-equation) run.  Operators live in
+`models`, which builds every Hamiltonian real symmetric by construction.
+States are immutable after construction (their arrays are marked
+read-only), so they can be shared freely between worker threads.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ HERMITIAN_ATOL = 1e-12
 NORM_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-9
-HERMITIAN_BLOCK = 1 << 16     # entries per row block of the hermiticity check
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -80,39 +77,6 @@ class SpaceLayout:
             if lab == label:
                 return i
         raise LayoutError(f"unknown factor label {label!r}; have {self.labels}")
-
-
-def _hermitian_deviation(a: np.ndarray) -> float:
-    """max|A - A^dag| taken over blocks of rows, so that no temporary is as
-    large as A (the Hamiltonians reach thousands of states)."""
-    step = max(1, HERMITIAN_BLOCK // a.shape[0])
-    return float(np.max([np.max(np.abs(a[i:i + step] - a[:, i:i + step].conj().T))
-                         for i in range(0, a.shape[0], step)]))
-
-
-@dataclass(frozen=True)
-class Operator:
-    """Dense operator on a composite space, with a verified hermiticity flag."""
-
-    layout: SpaceLayout
-    entries: np.ndarray
-    hermitian: bool
-
-    def __post_init__(self):
-        n = self.layout.total_dim
-        if self.entries.shape != (n, n):
-            raise LayoutError(
-                f"entries shape {self.entries.shape} does not match layout dim {n}"
-            )
-        object.__setattr__(self, "entries", _frozen(self.entries))
-        if self.hermitian:
-            dev = _hermitian_deviation(self.entries)
-            if dev >= HERMITIAN_ATOL:
-                raise StateError(f"hermitian flag set but max|A - A^dag| = {dev:.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.layout.total_dim
 
 
 @dataclass(frozen=True)

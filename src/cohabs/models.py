@@ -1,5 +1,12 @@
 """Hamiltonian and dissipator constructors driven by a declarative ModelSpec.
 
+Every term of a model (the absorption terms g (A^dag b^k + h.c.), the
+mixer, the free number terms) is a real matrix in the Fock product basis,
+added together with its transpose or placed on the diagonal; the pump
+amplitude enters only the initial state.  So `build_hamiltonian` returns a
+real symmetric array by construction, and `dephasing_dissipator` the real
+diagonal of its jump operator.
+
 Couplings and angular frequencies are quoted in units of the linear coupling
 g1 (which fixes the time unit); the scaled time used for reporting is
 tau = g_hi * t where g_hi is the coupling of the highest-order interaction.
@@ -13,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DimensionError, LayoutError, TruncationError
-from .hilbert import Operator, SpaceLayout
+from .hilbert import SpaceLayout
 
 ABSORBER_LABEL = "absorber"
 OSC_LABEL = "osc"
@@ -188,36 +195,45 @@ def _free(omega: float, Omega: float, spec: ModelSpec) -> list:
 
 def _dense(spec: ModelSpec, terms: list) -> np.ndarray:
     n = spec.layout().total_dim
-    h = np.zeros((n, n), complex)
+    h = np.zeros((n, n))
     for rows, cols, values in terms:        # no index repeats within one triplet
         h[rows, cols] += values
+    h.setflags(write=False)
     return h
-
-
-def _hermitian(spec: ModelSpec, terms: list) -> Operator:
-    return Operator(spec.layout(), _dense(spec, terms), True)
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonian
 
-def build_hamiltonian(spec: ModelSpec) -> Operator:
+@dataclass(frozen=True)
+class Hamiltonian:
+    """A model's Hamiltonian on its layout: `entries` is a read-only real
+    symmetric array, since each off-diagonal term is added right after its
+    transpose (`_plus_hc`) and entries add up in the same order on both
+    sides of the diagonal."""
+
+    layout: SpaceLayout
+    entries: np.ndarray
+
+
+def build_hamiltonian(spec: ModelSpec) -> Hamiltonian:
     """Full Hamiltonian for the spec: free part plus every listed interaction,
-    added into one dense array and checked for hermiticity once."""
+    added into one dense real array."""
     omega = -spec.Delta if spec.Delta is not None else spec.omega
     terms = _free(omega, spec.Omega, spec)
     for it in spec.interactions:
         terms += _interaction(it.order, it.coupling, spec)
-    return _hermitian(spec, terms)
+    return Hamiltonian(spec.layout(), _dense(spec, terms))
 
 
 # ---------------------------------------------------------------------------
 # dissipators
 
-def dephasing_dissipator(gamma: float, spec: ModelSpec) -> list[Operator]:
-    """Number dephasing on the oscillator: a single jump operator sqrt(gamma) b^dag b."""
+def dephasing_dissipator(gamma: float, spec: ModelSpec) -> list[np.ndarray]:
+    """Number dephasing on the oscillator: the diagonal sqrt(gamma) n of its one
+    jump operator sqrt(gamma) b^dag b, in storage order; no jump at gamma = 0."""
     if gamma < 0:
         raise ConfigError(f"dephasing rate must be >= 0, got {gamma}")
     if gamma == 0.0:
         return []
-    return [_hermitian(spec, [_kron(spec, {OSC_LABEL: _number(spec.cutoff, math.sqrt(gamma))})])]
+    return [_kron(spec, {OSC_LABEL: _number(spec.cutoff, math.sqrt(gamma))})[2]]

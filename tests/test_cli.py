@@ -182,6 +182,21 @@ class TestOverridesAndDryRun:
                                        "--set", "initial.n=5"])
         assert patched["max_coherence"] != base["max_coherence"]
 
+    def test_override_reaches_fields_the_document_leaves_out(self, capsys):
+        # fig1 leaves out Delta (None), the qubit's unread absorber_dim and the
+        # Fock input's unread nbar; each is still a field that --set can reach
+        fig1 = str(CONFIGS / "fig1.json")
+        code, payload = run_json(capsys, ["evolve", "--config", fig1, "--dry-run",
+                                          "--set", "model.Delta=0.5"])
+        assert code == 0
+        assert payload["resolved_config"]["model"]["Delta"] == 0.5
+        for pair in ("model.absorber_dim=4", "initial.nbar=2"):
+            assert dispatch(["evolve", "--config", fig1, "--dry-run", "--set", pair]) == 0
+        capsys.readouterr()
+        assert dispatch(["evolve", "--config", fig1, "--dry-run",
+                         "--set", "model.Deltaa=1"]) == 2
+        assert "'model.Deltaa' does not exist" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_parse_failure(self, tmp_path, capsys):

@@ -1,15 +1,19 @@
 from dataclasses import replace
+import pathlib
 
 import numpy as np
 import pytest
 
+from cohabs import experiments
 from cohabs.errors import ConfigError, LayoutError, TruncationError
 from cohabs.evolution import HamiltonianPropagator
-from cohabs.experiments import from_document, to_document
+from cohabs.experiments import from_document, load_config, to_document
 from cohabs.hilbert import partial_trace
 from cohabs.models import Interaction, ModelSpec, build_hamiltonian, dephasing_dissipator
 from cohabs import states
 import oracles
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def spec(cutoff=12, **kw):
@@ -103,7 +107,8 @@ class TestJCInteraction:
             assert np.all(v @ ket == 0)
 
     def test_hermitian(self):
-        assert one_term(2, 0.3, spec()).hermitian
+        h = one_term(2, 0.3, spec()).entries
+        assert h.dtype == np.float64 and np.array_equal(h, h.T)
 
     def test_order_must_fit_cutoff(self):
         with pytest.raises(TruncationError):
@@ -264,14 +269,14 @@ class TestDephasing:
         for n in range(6):
             ket = np.zeros(12)
             ket[ge_index(0, n, 6)] = 1.0
-            assert np.allclose(L.entries @ ket, np.sqrt(0.25) * n * ket)
+            assert np.allclose(np.diag(L) @ ket, np.sqrt(0.25) * n * ket)
 
     def test_fock_diagonal_states_are_fixed_points(self, rng):
         s = spec(cutoff=6)
         (L,) = dephasing_dissipator(0.3, s)
         pops = rng.random(12)
         rho = np.diag(pops / pops.sum()).astype(complex)
-        l = L.entries
+        l = np.diag(L)
         action = l @ rho @ l.conj().T - 0.5 * (l.conj().T @ l @ rho + rho @ l.conj().T @ l)
         assert np.max(np.abs(action)) < 1e-14
 
@@ -320,10 +325,10 @@ class TestBuildHamiltonian:
 
 class TestModelSpec:
     def test_every_built_hamiltonian_is_hermitian(self):
-        for s in (spec(), spec(omega=1.0, Omega=2.0), spec(Delta=0.5),
-                  spec(absorber="oscillator", absorber_dim=4),
-                  spec(pump=1.5 + 0j, pump_dim=5, cutoff=6, nu=0.3)):
-            assert build_hamiltonian(s).hermitian
+        for s in SPECS:
+            h = build_hamiltonian(s).entries
+            assert h.dtype == np.float64 and not h.flags.writeable
+            assert np.array_equal(h, h.T)
 
     def test_roundtrip_document(self):
         s = spec(omega=0.1, Omega=0.2, dephasing_rate=0.05, pump=2.0 + 1.0j,
@@ -342,3 +347,33 @@ class TestModelSpec:
     def test_duplicate_orders_rejected(self):
         with pytest.raises(ConfigError):
             ModelSpec(interactions=(Interaction(1, 1.0), Interaction(1, 0.5)))
+
+
+def shipped_models(config):
+    """Every model a run of the config builds a Hamiltonian of, at a reduced
+    size: the configured one, each sweep point's and companion run's, and a
+    switch schedule's one-interaction segment models."""
+    cfgs = [config]
+    if config.sweep:
+        points = [cfg for cfg, _ in experiments._sweep_points(config)]
+        kind = experiments._SWEEP_KINDS[frozenset(config.sweep)]
+        cfgs += points + kind.companions(config, points)
+    out = []
+    for cfg in cfgs:
+        m = cfg.model
+        small = replace(m, cutoff=min(m.cutoff, 10), absorber_dim=min(m.absorber_dim, 4),
+                        pump_dim=min(m.effective_pump_dim(), 6) if m.has_pump else None)
+        out.append(small)
+        out += [ModelSpec(interactions=(Interaction(seg.order, m.coupling(seg.order)),),
+                          cutoff=small.cutoff) for seg in cfg.schedule.segments]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_shipped_hamiltonians_are_real_symmetric(name):
+    models = shipped_models(load_config(CONFIGS / f"{name}.json"))
+    assert models
+    for s in models:
+        h = build_hamiltonian(s).entries
+        assert h.dtype == np.float64 and not h.flags.writeable
+        assert np.array_equal(h, h.T)
