@@ -6,8 +6,7 @@ from .errors import (ConfigError, DimensionError, IntegrationError, LayoutError,
 from .hilbert import KetEnsemble, QuantumState, SpaceLayout, partial_trace
 from .models import Interaction, ModelSpec, build_hamiltonian, dephasing_dissipator
 from .states import InitialStateSpec, make_state
-from .evolution import (EvolutionResult, HamiltonianPropagator, lindblad_evolve,
-                        sequential_switch)
+from .evolution import EvolutionResult, HamiltonianPropagator, lindblad_evolve
 from .observables import (DiagnosticsRecord, WignerGrid, WignerGridSpec, coherence,
                           diagnose, excitation_stats, negativity_volume,
                           quadrature_stats, radial_asymmetry, remove_gaussian_shell,

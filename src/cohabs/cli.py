@@ -2,8 +2,9 @@
 
 Subcommands map onto the experiment operations; every run is driven by a JSON
 config file, optionally patched with --set key=value overrides, and prints a
-JSON summary to stdout.  Exit codes: 0 success, 2 config/parse failure,
-3 truncation failure, 4 integration failure, 1 anything else.
+JSON summary to stdout.  An error is printed as `error: <config path>:
+<message>`.  Exit codes: 0 success, 2 config/parse failure, 3 truncation
+failure, 4 integration failure, 1 anything else.
 """
 
 from __future__ import annotations
@@ -115,6 +116,10 @@ _COMMANDS = {
 }
 
 
+_EXIT_CODES = ((ConfigError, 2), (TruncationError, 3), (IntegrationError, 4),
+               (SimulationError, 1))
+
+
 def dispatch(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -129,18 +134,9 @@ def dispatch(argv=None) -> int:
             return 0
         _print_summary(_COMMANDS[args.command](config, args))
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TruncationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except IntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"error: {args.config}: {exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 def main() -> None:

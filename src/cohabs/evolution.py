@@ -1,5 +1,5 @@
-"""Time evolution: exact unitary propagation, piecewise Hamiltonian
-switching and a Lindblad master-equation integrator.
+"""Time evolution: exact unitary propagation and a Lindblad master-equation
+integrator.
 
 Every Hamiltonian is real symmetric (see `models`), so unitary propagation
 goes through a real eigendecomposition, which is exact for arbitrary times
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
 from .errors import IntegrationError, LayoutError, StateError
 from .hilbert import KetEnsemble, QuantumState
 from .models import OSC_LABEL, Hamiltonian
@@ -34,14 +33,7 @@ MIN_STEP = 1e-12        # step size below which it gives up
 @dataclass(frozen=True)
 class EvolutionResult:
     times: np.ndarray
-    states: tuple[KetEnsemble, ...] | tuple[QuantumState, ...]
-    leakage: np.ndarray
-    leakage_flag: bool
-
-    def __post_init__(self):
-        t = np.asarray(self.times, float)
-        if len(t) > 1 and not np.all(np.diff(t) > 0):
-            raise StateError("result times must be strictly increasing")
+    states: tuple[QuantumState, ...]
 
 
 def top_level_population(state: QuantumState | KetEnsemble) -> float:
@@ -111,42 +103,6 @@ class HamiltonianPropagator:
 
 
 # ---------------------------------------------------------------------------
-# two-segment switching
-
-def sequential_switch(orders, couplings, durations,
-                      state0: KetEnsemble) -> EvolutionResult:
-    """Apply exp(-i V^(k_j) t_j) segment by segment, recording each boundary.
-
-    Zero-duration segments act as the identity and are skipped (recording
-    them would duplicate a time point).
-    """
-    if not (len(orders) == len(couplings) == len(durations)):
-        raise StateError("orders, couplings and durations must have equal length")
-    cutoff = state0.layout.dim(OSC_LABEL)
-    props = {}
-    state = state0
-    times, states, leaks = [], [], []
-    now = 0.0
-    for k, g, dt in zip(orders, couplings, durations):
-        if dt < 0:
-            raise StateError(f"segment duration must be >= 0, got {dt}")
-        if dt == 0:
-            continue
-        if (k, g) not in props:
-            spec = models.ModelSpec(interactions=(models.Interaction(int(k), float(g)),),
-                                    cutoff=cutoff)
-            props[(k, g)] = HamiltonianPropagator(models.build_hamiltonian(spec))
-        state = props[(k, g)].state_at(state, float(dt))
-        now += float(dt)
-        times.append(now)
-        states.append(state)
-        leaks.append(top_level_population(state))
-    leakage = np.asarray(leaks)
-    return EvolutionResult(np.asarray(times), tuple(states), leakage,
-                           bool(leakage.max(initial=0.0) > LEAKAGE_WARN))
-
-
-# ---------------------------------------------------------------------------
 # Lindblad master equation
 
 def _decode(m: np.ndarray) -> np.ndarray:
@@ -203,11 +159,11 @@ class _StrangStep:
 
 
 def lindblad_evolve(hamiltonian: Hamiltonian, jumps, rho0: QuantumState | KetEnsemble,
-                    times, tol: float = 1e-8, observer=None,
-                    store_states: bool = True) -> EvolutionResult:
+                    times, tol: float = 1e-8, observer=None) -> EvolutionResult:
     """Integrate the master equation with adaptive Strang splitting, for the
     jump operators whose real diagonals `jumps` holds (see
-    `models.dephasing_dissipator`).
+    `models.dephasing_dissipator`).  Each output state is passed to
+    `observer`, when given; otherwise the states are returned.
 
     Every step composes exact CPTP maps (see `_StrangStep`), so the state
     stays positive and its trace stays 1 at any tolerance.  Each step of
@@ -237,9 +193,8 @@ def lindblad_evolve(hamiltonian: Hamiltonian, jumps, rho0: QuantumState | KetEns
     t = 0.0
     h = INITIAL_STEP
     states = []
-    leakage = np.empty(len(times))
 
-    for i, t_out in enumerate(times):
+    for t_out in times:
         while t + h <= t_out:
             y1 = step(sigma, h)
             y2 = step(step(sigma, 0.5 * h), 0.5 * h)
@@ -258,10 +213,8 @@ def lindblad_evolve(hamiltonian: Hamiltonian, jumps, rho0: QuantumState | KetEns
             st.validate_positive(atol=1e-7)
         except StateError as exc:
             raise StateError(f"{exc} (output time: {t_out:.6g})") from exc
-        leakage[i] = top_level_population(st)
         if observer is not None:
-            observer(float(t_out), st)
-        if store_states:
+            observer(st)
+        else:
             states.append(st)
-    return EvolutionResult(times, tuple(states), leakage,
-                           bool(leakage.max(initial=0.0) > LEAKAGE_WARN))
+    return EvolutionResult(times, tuple(states))

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import models, observables, states
 from .errors import ConfigError
-from .evolution import (HamiltonianPropagator, lindblad_evolve, sequential_switch,
-                        top_level_population, LEAKAGE_WARN)
+from .evolution import (HamiltonianPropagator, lindblad_evolve, top_level_population,
+                        LEAKAGE_WARN)
 from .hilbert import partial_trace
 from .models import Interaction, ModelSpec, OSC_LABEL
 from .observables import DiagnosticsRecord, WignerGridSpec, diagnose
@@ -252,9 +252,9 @@ def load_config(path) -> ScenarioConfig:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read the config: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"the config is not valid JSON: {exc}") from exc
     return ScenarioConfig.from_dict(doc)
 
 
@@ -299,50 +299,71 @@ class PointRun:
         return out
 
 
-def _propagator(model: ModelSpec) -> HamiltonianPropagator:
-    return HamiltonianPropagator(models.build_hamiltonian(model))
+def _pieces(config: ScenarioConfig, model: ModelSpec,
+            taus) -> list[tuple[ModelSpec, np.ndarray]]:
+    """The run of `model` as (model, raw output times from the piece's start)
+    pieces, each of one constant Hamiltonian: a continuous schedule is one
+    piece over the scaled times `taus`; a switch schedule has one piece per
+    segment, the model with only the segment's interaction on, output at the
+    segment's end."""
+    scale = model.tau_scale()
+    if config.schedule.type == "continuous":
+        return [(model, np.asarray(taus, float) / scale)]
+    return [(replace(model, interactions=(Interaction(s.order, model.coupling(s.order)),)),
+             np.array([s.tau / scale])) for s in config.schedule.segments]
+
+
+def _hamiltonian_key(model: ModelSpec) -> ModelSpec:
+    """The key of the model's Hamiltonian, which its propagators are shared
+    under: the pump amplitude enters only the initial state, so it is
+    replaced by the pump dimension it sets."""
+    if model.has_pump:
+        return replace(model, pump=0j, pump_dim=model.effective_pump_dim())
+    return model
+
+
+def _propagator(key: ModelSpec) -> HamiltonianPropagator:
+    return HamiltonianPropagator(models.build_hamiltonian(key))
 
 
 def _evolve(config: ScenarioConfig, cutoff: int, taus, observe,
-            propagators: dict[int, HamiltonianPropagator]):
-    """Evolve the configured initial state at one cutoff and call
-    observe(t, state) at each raw time: the increasing scaled times `taus`
-    over the tau scale, or the schedule's own points when taus is None.  A
+            propagators: dict[ModelSpec, HamiltonianPropagator]):
+    """Evolve the configured initial state at one cutoff, piece by piece (see
+    `_pieces`), and call observe(state) at each output time: the increasing
+    scaled times `taus`, or the schedule's own points when taus is None.  A
     switch schedule has only its segment boundaries and accepts no `taus`.
-    Unitary runs pass KetEnsembles, dephased runs density-matrix states.
-    A unitary run takes its propagator from `propagators` (the caller's
-    {cutoff: propagator}), building and adding it when missing.
+    Unitary runs pass KetEnsembles, dephased runs density-matrix states.  A
+    unitary piece takes its propagator from `propagators` (the caller's
+    {Hamiltonian key: propagator}), building and adding it when missing.
     Returns (taus, raw times)."""
     sched = config.schedule
     if sched.type == "switch" and taus is not None:
         raise ConfigError("state reconstruction is only defined for continuous schedules")
     model = replace(config.model, cutoff=cutoff)
-    state0 = states.make_state(config.initial, model.layout(), pump_amplitude=model.pump)
-    scale = model.tau_scale()
-    if sched.type == "switch":
-        segs = sched.segments
-        result = sequential_switch([s.order for s in segs],
-                                   [model.coupling(s.order) for s in segs],
-                                   [s.tau / scale for s in segs], state0)
-        for t, state in zip(result.times, result.states):
-            observe(t, state)
-        taus = np.cumsum([s.tau for s in segs])
-        return taus, taus / scale
+    state = states.make_state(config.initial, model.layout(), pump_amplitude=model.pump)
     if taus is None:
-        taus = np.linspace(0.0, sched.tau_max, sched.points)
-    times = np.asarray(taus, float) / scale
-    if model.dephasing_rate > 0:
-        jumps = models.dephasing_dissipator(model.dephasing_rate, model)
-        lindblad_evolve(models.build_hamiltonian(model), jumps, state0, times,
-                        tol=config.lindblad_tol, observer=observe, store_states=False)
-    else:
-        prop = propagators.get(cutoff)
-        if prop is None:
-            prop = propagators[cutoff] = _propagator(model)
-        initial = prop.expand(state0)
-        for t in times:
-            observe(t, prop.state_at(initial, float(t)))
-    return taus, times
+        taus = (np.cumsum([s.tau for s in sched.segments]) if sched.type == "switch"
+                else np.linspace(0.0, sched.tau_max, sched.points))
+
+    def advance(new_state):     # the last state alone is carried to the next piece
+        nonlocal state
+        state = new_state
+        observe(new_state)
+
+    for piece, times in _pieces(config, model, taus):
+        if piece.dephasing_rate > 0:
+            jumps = models.dephasing_dissipator(piece.dephasing_rate, piece)
+            lindblad_evolve(models.build_hamiltonian(piece), jumps, state, times,
+                            tol=config.lindblad_tol, observer=advance)
+        else:
+            key = _hamiltonian_key(piece)
+            prop = propagators.get(key)
+            if prop is None:
+                prop = propagators[key] = _propagator(key)
+            initial = prop.expand(state)
+            for t in times:
+                advance(prop.state_at(initial, float(t)))
+    return taus, np.asarray(taus, float) / model.tau_scale()
 
 
 def oscillator_states(config: ScenarioConfig, taus, cutoff: int | None = None,
@@ -351,12 +372,12 @@ def oscillator_states(config: ScenarioConfig, taus, cutoff: int | None = None,
     cutoff unless `cutoff` is given; continuous schedules only.  Unitary runs
     give ket ensembles (rho = Phi Phi^dag), dephased runs density matrices;
     every function in `observables` takes either.  `propagators` is the
-    caller's {cutoff: propagator}, so states sampled after a run reuse its
-    propagator."""
+    caller's {Hamiltonian key: propagator}, so states sampled after a run
+    reuse its propagator."""
     grid = sorted({float(tau) for tau in taus})
     rhos = []
     _evolve(config, config.ladder()[-1] if cutoff is None else cutoff, grid,
-            lambda _t, state: rhos.append(partial_trace(state, OSC_LABEL)),
+            lambda state: rhos.append(partial_trace(state, OSC_LABEL)),
             {} if propagators is None else propagators)
     lookup = dict(zip(grid, rhos))
     return [lookup[float(tau)] for tau in taus]
@@ -407,10 +428,10 @@ class _RecordStates:
 def run_point(config: ScenarioConfig, coords: dict | None = None,
               propagators: dict | None = None) -> PointRun:
     """Run the scenario over its cutoff ladder; series kept for the top cutoff.
-    `propagators` ({cutoff: propagator}) supplies and collects the run's
-    propagators.  When the config asks for Wigner grids or shell removal, the
-    reduced states at the half-max and max times are kept from the series
-    itself in `snapshots`."""
+    `propagators` ({Hamiltonian key: propagator}) supplies and collects the
+    run's propagators.  When the config asks for Wigner grids or shell
+    removal, the reduced states at the half-max and max times are kept from
+    the series itself in `snapshots`."""
     propagators = {} if propagators is None else propagators
     ladder = config.ladder()
     keep_states = ((config.diagnostics.wigner or config.diagnostics.shell_removal)
@@ -420,7 +441,7 @@ def run_point(config: ScenarioConfig, coords: dict | None = None,
         records: list[DiagnosticsRecord] = []
         kept = _RecordStates() if keep_states and cutoff == ladder[-1] else None
 
-        def observe(_t, state):
+        def observe(state):
             rho = partial_trace(state, OSC_LABEL)
             records.append(diagnose(rho, top_level_population(state)))
             if kept is not None:
@@ -534,32 +555,21 @@ def _parallel(fn, items, jobs: int):
 
 
 def _unitary_models(config: ScenarioConfig) -> list[ModelSpec]:
-    """One model per distinct Hamiltonian at each ladder cutoff of a run
-    that propagates through an eigendecomposition (dephased and switch runs
-    build no propagator).  The pump amplitude enters only the initial state,
-    so it is replaced by the pump dimension it sets."""
-    if config.model.dephasing_rate > 0 or config.schedule.type == "switch":
-        return []
-    model = config.model
-    if model.has_pump:
-        model = replace(model, pump=0j, pump_dim=model.effective_pump_dim())
-    return [replace(model, cutoff=c) for c in config.ladder()]
+    """The Hamiltonian key of each unitary piece of a run, at each ladder
+    cutoff."""
+    return [_hamiltonian_key(piece) for cutoff in config.ladder()
+            for piece, _ in _pieces(config, replace(config.model, cutoff=cutoff), ())
+            if piece.dephasing_rate == 0]
 
 
-class _SharedPropagators:
-    """Propagators of the Hamiltonians that two or more runs of one batch
-    use, built once, up front and in parallel.  Runs only read them; every
-    other propagator is built by, and freed with, the run that uses it."""
-
-    def __init__(self, configs, jobs: int):
-        uses = Counter(m for cfg in configs for m in _unitary_models(cfg))
-        shared = [m for m, count in uses.items() if count >= 2]
-        self._by_model = dict(zip(shared, _parallel(_propagator, shared, jobs)))
-
-    def for_run(self, config: ScenarioConfig) -> dict[int, HamiltonianPropagator]:
-        """A new {cutoff: propagator} dict for one run, holding its shared ones."""
-        return {m.cutoff: self._by_model[m] for m in _unitary_models(config)
-                if m in self._by_model}
+def _shared_propagators(configs, jobs: int) -> dict[ModelSpec, HamiltonianPropagator]:
+    """{Hamiltonian key: propagator} of the Hamiltonians that two or more
+    pieces of one batch's runs use, built once, up front and in parallel.
+    Each run takes a copy and only reads these; every other propagator is
+    built by, and freed with, the run that uses it."""
+    uses = Counter(m for cfg in configs for m in _unitary_models(cfg))
+    shared = [m for m, count in uses.items() if count >= 2]
+    return dict(zip(shared, _parallel(_propagator, shared, jobs)))
 
 
 def _model(config: ScenarioConfig, **changes) -> ScenarioConfig:
@@ -636,7 +646,7 @@ def _against_baseline(shared, config: ScenarioConfig, runs: list[PointRun],
     """weak scan: which (omega, Omega) beat the interaction-only run at the
     same remaining parameters."""
     baseline_cfg = _interaction_only(config)
-    baseline = run_point(baseline_cfg, propagators=shared.for_run(baseline_cfg))
+    baseline = run_point(baseline_cfg, propagators=dict(shared))
     for run in runs:
         run.extras["beats_interaction_only"] = bool(
             run.max_coherence > baseline.max_coherence)
@@ -660,7 +670,7 @@ def _effective_deviation(shared, cfg: ScenarioConfig, run: PointRun) -> None:
     eff_cfg = _effective(cfg)
     if eff_cfg is None:
         return
-    eff_run = run_point(eff_cfg, propagators=shared.for_run(eff_cfg))
+    eff_run = run_point(eff_cfg, propagators=dict(shared))
     eff = np.array([r.coherence for r in eff_run.records])
     got = np.array([r.coherence for r in run.records])
     run.extras["effective_max_coherence"] = float(eff.max())
@@ -716,11 +726,11 @@ def sweep(config: ScenarioConfig, jobs: int = 1,
     names = _ordered(config.sweep)
     points = _sweep_points(config)
     cfgs = [cfg for cfg, _ in points]
-    shared = _SharedPropagators(cfgs + kind.companions(config, cfgs), jobs)
+    shared = _shared_propagators(cfgs + kind.companions(config, cfgs), jobs)
 
     def one(point) -> PointRun:
         cfg, coords = point
-        run = run_point(cfg, coords, shared.for_run(cfg))
+        run = run_point(cfg, coords, dict(shared))
         if kind.point is not None:
             kind.point(shared, cfg, run)
         run.snapshots.clear()
@@ -803,13 +813,13 @@ def robustness_suite(base: ScenarioConfig, jobs: int = 1,
                              cutoff_ladder=(96,)), 0),
         **{f"admixture_p{p}": (_admixture(base, p), 0) for p in (0.25, 0.5, 0.75)},
     }
-    shared = _SharedPropagators([cfg for cfg, _ in variants.values()] + [base], jobs)
-    reports = _parallel(lambda v: _variant_report(v[0], v[1], shared.for_run(v[0])),
+    shared = _shared_propagators([cfg for cfg, _ in variants.values()] + [base], jobs)
+    reports = _parallel(lambda v: _variant_report(v[0], v[1], dict(shared)),
                         list(variants.values()), jobs)
     results = dict(zip(variants, reports))
     results["dephasing"]["dephasing_rate"] = rate
 
-    reference = run_point(base, propagators=shared.for_run(base))
+    reference = run_point(base, propagators=dict(shared))
     results["reference"] = {
         "max_coherence": reference.max_coherence,
         "tau_at_max": reference.tau_at_max,

@@ -132,10 +132,6 @@ def quadrature_stats(rho) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Gaussian-shell removal
 
-def _mode_expm(generator: np.ndarray) -> np.ndarray:
-    return scipy.linalg.expm(generator)
-
-
 def remove_gaussian_shell(rho, max_rounds: int = 8) -> np.ndarray:
     """Strip the Gaussian envelope: displacement to zero means, phase rotation
     diagonalizing the covariance, and squeezing equalizing its diagonal.
@@ -163,7 +159,7 @@ def remove_gaussian_shell(rho, max_rounds: int = 8) -> np.ndarray:
             return rho
         # displacement D(-<b>)
         amp = -_ladder_moments(rho)[1]
-        d = _mode_expm(amp * b.conj().T - np.conj(amp) * b)
+        d = scipy.linalg.expm(amp * b.conj().T - np.conj(amp) * b)
         rho = d @ rho @ d.conj().T
         # rotation zeroing the covariance off-diagonal
         _, cov = quadrature_stats(rho)
@@ -174,7 +170,7 @@ def remove_gaussian_shell(rho, max_rounds: int = 8) -> np.ndarray:
         _, cov = quadrature_stats(rho)
         xi = 0.25 * math.log(cov[0, 0] / cov[1, 1])
         b2 = b @ b
-        s = _mode_expm(0.5 * xi * (b2 - b2.conj().T))
+        s = scipy.linalg.expm(0.5 * xi * (b2 - b2.conj().T))
         rho = s @ rho @ s.conj().T
         rho = 0.5 * (rho + rho.conj().T)
         trace = float(np.trace(rho).real)

@@ -17,6 +17,7 @@ Criterion 8 passes on the thermal ladder [110, 120]; a ladder starting at
 cutoff 100 trips the thermal tail guard.
 """
 
+from dataclasses import replace
 import math
 import pathlib
 import time
@@ -25,7 +26,8 @@ import numpy as np
 import pytest
 
 from cohabs import evolution, experiments, models, observables, states
-from cohabs.experiments import load_config, run_scenario, sweep
+from cohabs.experiments import (ScenarioConfig, ScheduleSpec, SwitchSegment, load_config,
+                                run_point, run_scenario, sweep)
 from cohabs.hilbert import partial_trace
 from cohabs.models import Interaction, ModelSpec
 from cohabs.states import InitialStateSpec
@@ -44,6 +46,12 @@ def report(num: str, ok: bool, detail: str) -> None:
 
 def osc_density(state):
     return partial_trace(state, "osc").density()
+
+
+def switch(config, segments):
+    """The config with a switch schedule of (order, tau) segments."""
+    return replace(config, schedule=ScheduleSpec(type="switch", segments=tuple(
+        SwitchSegment(k, tau) for k, tau in segments)))
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +119,7 @@ def test_criterion_2_switching():
     run = run_scenario(cfg)
     c_switch = run.records[-1].coherence
 
-    spec = cfg.model
-    psi0 = states.make_state(cfg.initial, spec.layout())
-    t_seg = 1.57 / spec.tau_scale()
-    base1 = evolution.sequential_switch([1], [spec.coupling(1)], [t_seg], psi0)
-    base2 = evolution.sequential_switch([2], [spec.coupling(2)], [t_seg], psi0)
-    c1 = observables.coherence(osc_density(base1.states[-1]))
-    c2 = observables.coherence(osc_density(base2.states[-1]))
+    c1, c2 = (run_point(switch(cfg, [(k, 1.57)])).records[-1].coherence for k in (1, 2))
 
     ok = abs(c_switch - 0.70) <= 0.07 and c1 < 1e-9 and c2 < 1e-9
     report("2", ok, f"switch C={c_switch:.4f} (0.70+-0.07); single-interaction "
@@ -332,9 +334,11 @@ def test_criterion_11_property_suite():
         (h0 @ v - v @ h0 - ref)[np.ix_(keep, keep)])) < 1e-10
 
     psi0 = states.make_state(InitialStateSpec("fock", n=7), spec.layout())
-    seq = evolution.sequential_switch([1, 2], [1.0, 0.1], [15.7, 15.7], psi0)
+    fock7 = ScenarioConfig(model=spec, initial=InitialStateSpec("fock", n=7))
+    seq = []
+    experiments._evolve(switch(fock7, [(1, 1.57), (2, 1.57)]), 20, None, seq.append, {})
     checks["switch_amplitudes"] = np.max(np.abs(
-        oracles.switch_ket(7, 1.0, 0.1, 15.7, 20) - seq.states[-1].kets)) < 1e-9
+        oracles.switch_ket(7, 1.0, 0.1, 15.7, 20) - seq[-1].kets)) < 1e-9
 
     prop = evolution.HamiltonianPropagator(models.build_hamiltonian(spec))
     expansion = prop.expand(psi0)
@@ -357,9 +361,8 @@ def test_criterion_11_property_suite():
     checks["fock1_negativity"] = abs(neg - 0.213) <= 0.01
 
     # the two-segment protocol cannot exceed ln 2, pinning the natural log
-    best = max(observables.coherence(osc_density(
-        evolution.sequential_switch([1, 2], [1.0, 0.1], [t, t], psi0).states[-1]))
-        for t in np.linspace(0.125, 40.0, 320))
+    best = max(run_point(switch(fock7, [(1, 0.1 * t), (2, 0.1 * t)])).records[-1].coherence
+               for t in np.linspace(0.125, 40.0, 320))
     checks["ln2_switching_bound"] = 0.6 <= best <= math.log(2) + 1e-9
 
     ok = all(checks.values())

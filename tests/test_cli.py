@@ -56,6 +56,18 @@ class TestDispatch:
         assert code == 0
         assert summary["max_coherence"] > 0
 
+    def test_switch_runs_on_the_configured_model(self, capsys):
+        # segments keep the model's free terms, detuning, dephasing and absorber
+        argv = ["switch", "--config", str(CONFIGS / "fig2.json"),
+                "--set", "model.cutoff=20", "--set", "cutoff_ladder=[20]"]
+        _, plain = run_json(capsys, argv)
+        for pairs in (["model.omega=0.5", "model.Omega=0.5"], ["model.dephasing_rate=0.5"],
+                      ["model.Delta=0.7"], ["model.absorber=oscillator",
+                                            "model.absorber_dim=4"]):
+            code, summary = run_json(capsys, argv + [a for p in pairs for a in ("--set", p)])
+            assert code == 0, pairs
+            assert summary["max_coherence"] != plain["max_coherence"], pairs
+
     def test_switch_requires_switch_schedule(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tiny_doc())
         code, _ = run_json(capsys, ["switch", "--config", cfg])
@@ -250,6 +262,24 @@ class TestExitCodes:
     def test_unknown_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tiny_doc())
         assert dispatch(["evolve", "--config", cfg, "--set", "bogus.key=1"]) == 2
+
+    def test_switch_segment_without_duration_exits_2(self, tmp_path, capsys):
+        for tau in (0.0, -0.5):
+            doc = tiny_doc(schedule={"type": "switch", "segments": [[1, tau], [2, 0.4]]})
+            cfg = write_config(tmp_path, doc)
+            assert dispatch(["switch", "--config", cfg]) == 2
+            assert "strictly positive durations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("changes, code", [
+        (dict(initial={"kind": "fock", "n": 50}), 3),
+        (dict(model={"interactions": [[1, 1.0], [2, 0.1]], "cutoff": 12,
+                     "dephasing_rate": 0.2}, lindblad_tol=1e-300), 4),
+        (dict(schedule={"type": "switch", "segments": [[1, 0.0]]}), 2),
+    ], ids=["truncation", "integration", "config"])
+    def test_error_names_the_config(self, tmp_path, capsys, changes, code):
+        cfg = write_config(tmp_path, tiny_doc(**changes))
+        assert dispatch(["evolve", "--config", cfg]) == code
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
 
     def test_truncation_failure(self, tmp_path, capsys):
         doc = tiny_doc(initial={"kind": "fock", "n": 50})

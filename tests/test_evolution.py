@@ -1,17 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from cohabs import evolution
+from cohabs import evolution, experiments
 from cohabs.errors import IntegrationError, StateError
+from cohabs.experiments import ScenarioConfig, ScheduleSpec, SwitchSegment, run_point
 from cohabs.hilbert import KetEnsemble, QuantumState, SpaceLayout, partial_trace
 from cohabs.models import (Hamiltonian, Interaction, ModelSpec, build_hamiltonian,
                            dephasing_dissipator)
 from cohabs.observables import coherence
 from cohabs.states import InitialStateSpec, make_state
-from cohabs.evolution import (EvolutionResult, HamiltonianPropagator, lindblad_evolve,
-                              sequential_switch, top_level_population)
+from cohabs.evolution import HamiltonianPropagator, lindblad_evolve, top_level_population
 from conftest import random_density, random_ket, random_kets
 import oracles
 
@@ -41,6 +43,21 @@ def random_hamiltonian(layout, rng):
     """A real symmetric H on the layout with no structure of a model's."""
     a = rng.normal(size=(layout.total_dim,) * 2)
     return Hamiltonian(layout, 0.5 * (a + a.T))
+
+
+def switch_config(spec, segments, n):
+    """A switch run of the model from |g, n>; `segments` holds (order, raw
+    duration t) pairs, given to the schedule as tau = t * tau scale."""
+    return ScenarioConfig(model=spec, initial=InitialStateSpec("fock", n=n),
+                          schedule=ScheduleSpec(type="switch", segments=tuple(
+                              SwitchSegment(k, t * spec.tau_scale()) for k, t in segments)))
+
+
+def switch_states(spec, segments, n):
+    """The joint states at the segment boundaries of `switch_config`'s run."""
+    out = []
+    experiments._evolve(switch_config(spec, segments, n), spec.cutoff, None, out.append, {})
+    return out
 
 
 def vec(state):
@@ -108,15 +125,11 @@ class TestUnitaryEvolve:
             assert max(vals) - min(vals) > 0.01
 
     def test_leakage_flag_on_top_population(self):
-        s = two_body(cutoff=8)
-        psi0 = fock_state(s, 7)     # sits in the top of an 8-level space
-        res = sequential_switch([1], [1.0], [0.1], psi0)
-        assert res.leakage_flag
-        assert res.leakage[0] == pytest.approx(1.0)
-
-    def test_times_must_increase(self):
-        with pytest.raises(StateError):
-            EvolutionResult(np.array([0.0, 0.0]), (), np.zeros(2), False)
+        s = ModelSpec(interactions=(Interaction(1, 1.0),), cutoff=8)
+        # |g, 7> sits in the top of an 8-level space
+        run = run_point(switch_config(s, [(1, 0.1)], n=7))
+        assert run.leakage_flag
+        assert run.records[0].leakage == pytest.approx(1.0)
 
 
 class TestHamiltonianPropagator:
@@ -171,10 +184,9 @@ class TestSwitchCoefficients:
     def test_matches_numerical_sequential_propagation(self, n, g1, g2, t):
         cutoff = n + 6
         s = two_body(cutoff=cutoff, g1=g1, g2=g2)
-        psi0 = fock_state(s, n)
-        res = sequential_switch([1, 2], [g1, g2], [t, t], psi0)
+        states = switch_states(s, [(1, t), (2, t)], n)
         ket = oracles.switch_ket(n, g1, g2, t, cutoff)
-        assert np.max(np.abs(ket - res.states[-1].kets)) < 1e-9
+        assert np.max(np.abs(ket - states[-1].kets)) < 1e-9
 
     def test_needs_two_quanta(self):
         with pytest.raises(ValueError):
@@ -182,35 +194,58 @@ class TestSwitchCoefficients:
 
 
 class TestSequentialSwitch:
+    """Switch schedules: each segment runs the configured model with only the
+    segment's interaction on."""
+
     def test_single_interaction_leaves_fock_diagonal(self):
         s = two_body(cutoff=16)
-        psi0 = fock_state(s, 7)
         for t in (0.5, 1.57, 4.0):
-            res = sequential_switch([1], [1.0], [t], psi0)
-            red = partial_trace(res.states[-1], "osc").density()
+            state, = switch_states(s, [(1, t)], 7)
+            red = partial_trace(state, "osc").density()
             assert coherence(red) < 1e-12
 
     def test_order_matters(self):
         s = two_body(cutoff=20)
-        psi0 = fock_state(s, 7)
-        forward = sequential_switch([1, 2], [1.0, 0.1], [15.7, 15.7], psi0)
-        reverse = sequential_switch([2, 1], [0.1, 1.0], [15.7, 15.7], psi0)
-        c_fwd = coherence(partial_trace(forward.states[-1], "osc").density())
-        c_rev = coherence(partial_trace(reverse.states[-1], "osc").density())
+        forward = switch_states(s, [(1, 15.7), (2, 15.7)], 7)
+        reverse = switch_states(s, [(2, 15.7), (1, 15.7)], 7)
+        c_fwd = coherence(partial_trace(forward[-1], "osc").density())
+        c_rev = coherence(partial_trace(reverse[-1], "osc").density())
         assert abs(c_fwd - c_rev) > 1e-3
 
     def test_records_each_segment_boundary(self):
-        s = two_body(cutoff=12)
-        psi0 = fock_state(s, 3)
-        res = sequential_switch([1, 2, 1], [1.0, 0.1, 1.0], [0.3, 0.4, 0.5], psi0)
-        assert np.allclose(res.times, [0.3, 0.7, 1.2])
-        assert len(res.states) == 3
+        run = run_point(switch_config(two_body(cutoff=12), [(1, 0.3), (2, 0.4), (1, 0.5)], 3))
+        assert np.allclose(run.times, [0.3, 0.7, 1.2])
+        assert len(run.records) == 3
 
-    def test_zero_duration_segments_skipped(self):
-        s = two_body(cutoff=12)
-        psi0 = fock_state(s, 3)
-        res = sequential_switch([1, 2], [1.0, 0.1], [0.0, 0.4], psi0)
-        assert len(res.states) == 1
+    @pytest.mark.parametrize("changes", [
+        dict(omega=0.5, Omega=0.5), dict(Delta=0.7, Omega=0.3),
+        dict(absorber="oscillator", absorber_dim=3, Omega=0.5)],
+        ids=["free", "Delta", "oscillator"])
+    def test_segments_keep_the_configured_model(self, changes):
+        # the product of the propagators of the segment models, free terms,
+        # detuning and absorber kept; g2 = 0.5 makes t -> tau -> t exact
+        s = two_body(cutoff=12, g2=0.5, **changes)
+        got = switch_states(s, [(1, 0.6), (2, 0.9), (1, 0.4)], 5)
+        state = fock_state(s, 5)
+        for (k, t), stt in zip([(1, 0.6), (2, 0.9), (1, 0.4)], got):
+            segment = replace(s, interactions=(Interaction(k, s.coupling(k)),))
+            state = HamiltonianPropagator(build_hamiltonian(segment)).state_at(state, t)
+            assert np.array_equal(stt.kets, state.kets)
+
+    def test_dephased_switch_chains_lindblad(self):
+        s = two_body(cutoff=10, g2=0.5, dephasing_rate=0.2)
+        cfg = switch_config(s, [(1, 0.6), (2, 0.9)], 4)
+        got = switch_states(s, [(1, 0.6), (2, 0.9)], 4)
+        state = fock_state(s, 4)
+        jumps = dephasing_dissipator(0.2, s)
+        for (k, t), stt in zip([(1, 0.6), (2, 0.9)], got):
+            segment = replace(s, interactions=(Interaction(k, s.coupling(k)),))
+            state, = lindblad_evolve(build_hamiltonian(segment), jumps, state, [t],
+                                     tol=cfg.lindblad_tol).states
+            assert np.array_equal(stt.data, state.data)
+        # dephasing acts: the unitary switch ends elsewhere
+        closed = switch_states(replace(s, dephasing_rate=0.0), [(1, 0.6), (2, 0.9)], 4)
+        assert np.max(np.abs(closed[-1].density() - got[-1].data)) > 1e-3
 
 
 class TestProductFormula:

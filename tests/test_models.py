@@ -351,8 +351,9 @@ class TestModelSpec:
 
 def shipped_models(config):
     """Every model a run of the config builds a Hamiltonian of, at a reduced
-    size: the configured one, each sweep point's and companion run's, and a
-    switch schedule's one-interaction segment models."""
+    size: the pieces (`experiments._pieces`) of the configured run, of each
+    sweep point's and of each companion run's; a switch schedule's pieces are
+    its segment models."""
     cfgs = [config]
     if config.sweep:
         points = [cfg for cfg, _ in experiments._sweep_points(config)]
@@ -363,9 +364,7 @@ def shipped_models(config):
         m = cfg.model
         small = replace(m, cutoff=min(m.cutoff, 10), absorber_dim=min(m.absorber_dim, 4),
                         pump_dim=min(m.effective_pump_dim(), 6) if m.has_pump else None)
-        out.append(small)
-        out += [ModelSpec(interactions=(Interaction(seg.order, m.coupling(seg.order)),),
-                          cutoff=small.cutoff) for seg in cfg.schedule.segments]
+        out += [piece for piece, _ in experiments._pieces(cfg, small, ())]
     return out
 
 
