@@ -3,10 +3,13 @@ integrator.
 
 Every Hamiltonian is real symmetric (see `models`), so unitary propagation
 goes through a real eigendecomposition, which is exact for arbitrary times
-and amortizes across the hundreds of output points of a sweep.  Unitary
-runs take and give `KetEnsemble`s: a mixed input that is diagonal in the
-Fock basis costs one column per nonzero population, never a dense density
-matrix.  The master equation evolves the dense density
+and amortizes across the hundreds of output points of a sweep.  When H has
+no free or detuning terms, every term raises or lowers the absorber by one
+quantum, so H only couples even to odd absorber levels and its eigenbasis
+comes from the SVD of that half-size coupling block, cheaper than a dense
+`eigh` of H.  Unitary runs take and give `KetEnsemble`s: a mixed input that
+is diagonal in the Fock basis costs one column per nonzero population, never
+a dense density matrix.  The master equation evolves the dense density
 matrix, held as one real matrix, and gives `QuantumState`s.  It is
 integrated by an adaptive Strang splitting: every step composes the exact
 unitary (a phase in the eigenbasis of H) with the exact dissipative
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import IntegrationError, LayoutError, StateError
 from .hilbert import KetEnsemble, QuantumState
-from .models import OSC_LABEL, Hamiltonian
+from .models import ABSORBER_LABEL, OSC_LABEL, Hamiltonian
 
 LEAKAGE_LEVELS = 5
 LEAKAGE_WARN = 1e-6
@@ -57,6 +60,28 @@ def _product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ np.ascontiguousarray(x, complex).view(float)).view(complex)
 
 
+def _chiral_eigh(hamiltonian: Hamiltonian) -> tuple[np.ndarray, np.ndarray] | None:
+    """E and V of an H that couples even absorber levels only to odd ones, so
+    H = [[0, B], [B^T, 0]] over equal halves; None for any other H.  With
+    B = U diag(s) W^T, H (u, +-w) = +-s (u, +-w): E = [s, -s] (unsorted) and
+    V = [[U, U], [W, -W]] / sqrt 2, its rows back in storage order."""
+    layout, h = hamiltonian.layout, hamiltonian.entries
+    if ABSORBER_LABEL not in layout.labels or layout.dim(ABSORBER_LABEL) % 2:
+        return None
+    inner = int(np.prod(layout.dims[layout.axis(ABSORBER_LABEL) + 1:]))
+    outer = layout.total_dim // (2 * inner)
+    blocks = h.reshape(outer, 2, inner, outer, 2, inner)    # index (j, parity, rest)
+    if blocks[:, 0, :, :, 0].any() or blocks[:, 1, :, :, 1].any():
+        return None
+    half = outer * inner
+    u, s, wt = np.linalg.svd(blocks[:, 0, :, :, 1].reshape(half, half))
+    vecs = np.empty((outer, 2, inner, 2, half))             # columns (sign, k)
+    vecs[:, 0, :, 0] = vecs[:, 0, :, 1] = np.sqrt(0.5) * u.reshape(outer, inner, half)
+    vecs[:, 1, :, 0] = np.sqrt(0.5) * wt.T.reshape(outer, inner, half)
+    vecs[:, 1, :, 1] = -vecs[:, 1, :, 0]
+    return np.concatenate([s, -s]), vecs.reshape(2 * half, 2 * half)
+
+
 @dataclass(frozen=True)
 class EigenExpansion:
     """A state expanded once in a propagator's eigenbasis, C = V^dag Psi0 for
@@ -80,7 +105,8 @@ class HamiltonianPropagator:
 
     def __init__(self, hamiltonian: Hamiltonian):
         self.layout = hamiltonian.layout
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(hamiltonian.entries)
+        self.eigenvalues, self.eigenvectors = (_chiral_eigh(hamiltonian)
+                                               or np.linalg.eigh(hamiltonian.entries))
 
     def expand(self, state0: KetEnsemble) -> EigenExpansion:
         """C = V^dag Psi0, computed once per trajectory."""

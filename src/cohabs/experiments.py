@@ -582,6 +582,11 @@ def _admixture(config: ScenarioConfig, p) -> ScenarioConfig:
                                                     p=float(p)))
 
 
+def _pump(b) -> complex:
+    """A beta value: a number or [re, im], as `model.pump`, or a complex repr."""
+    return complex(b) if isinstance(b, str) else from_document(complex, b, "sweep.beta")
+
+
 # axis -> (its coordinate in the results, the config edit of one value).  The
 # order of this map is the order of a sweep's cartesian product (n before G,
 # omega before Omega); config documents sort their sweep keys.  ScenarioConfig
@@ -596,7 +601,7 @@ _AXES: dict[str, tuple[Callable, Callable]] = {
         for it in cfg.model.interactions))),
     "omega": (float, lambda cfg, w: _model(cfg, omega=float(w))),
     "Omega": (float, lambda cfg, w: _model(cfg, Omega=float(w))),
-    "beta": (lambda b: abs(complex(b)), lambda cfg, b: _model(cfg, pump=complex(b))),
+    "beta": (lambda b: abs(_pump(b)), lambda cfg, b: _model(cfg, pump=_pump(b))),
 }
 
 

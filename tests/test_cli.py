@@ -135,6 +135,19 @@ class TestDispatch:
         assert code == 0
         assert len(summary["points"]) == 2
 
+    def test_completed_beta_as_pump_or_complex_repr(self, tmp_path, capsys):
+        # a beta value is read as model.pump is, [re, im], or from its complex repr
+        doc = tiny_doc(model={"interactions": [[1, 1.0], [2, 0.1]], "cutoff": 12,
+                              "pump": [0.0, 0.0], "pump_dim": 12},
+                       schedule={"type": "continuous", "tau_max": 0.1, "points": 5},
+                       sweep={"beta": [0.0]})
+        argv = ["completed", "--config", write_config(tmp_path, doc), "--set"]
+        pair, repr_ = (run_json(capsys, argv + [f"sweep.beta={values}"])
+                       for values in ("[[0.5, 0.3]]", '["(0.5+0.3j)"]'))
+        assert pair[0] == 0
+        assert pair == repr_
+        assert pair[1]["points"][0]["beta"] == abs(0.5 + 0.3j)
+
     def test_wigner_vacuum_center(self, tmp_path, capsys):
         code, summary = run_json(capsys, ["wigner", "--config",
                                           str(CONFIGS / "fock0.json")])

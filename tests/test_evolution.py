@@ -45,6 +45,24 @@ def random_hamiltonian(layout, rng):
     return Hamiltonian(layout, 0.5 * (a + a.T))
 
 
+@st.composite
+def chiral_models(draw):
+    """Small models at omega = Omega = nu = 0 and no detuning, so that every
+    term raises or lowers the absorber by one quantum: a qubit with orders
+    1-2, the pumped model, or an oscillator absorber of even dimension.  A
+    coupling may be zero, down to H = 0."""
+    coupling = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    orders = draw(st.sampled_from([(1,), (2,), (1, 2)]))
+    kw = dict(interactions=tuple(Interaction(k, draw(coupling)) for k in orders),
+              cutoff=draw(st.integers(3, 8)))
+    kind = draw(st.sampled_from(["qubit", "pumped", "oscillator"]))
+    if kind == "pumped":
+        kw.update(pump=0j, pump_dim=draw(st.integers(2, 5)))
+    elif kind == "oscillator":
+        kw.update(absorber="oscillator", absorber_dim=draw(st.sampled_from([2, 4, 6])))
+    return ModelSpec(**kw)
+
+
 def switch_config(spec, segments, n):
     """A switch run of the model from |g, n>; `segments` holds (order, raw
     duration t) pairs, given to the schedule as tau = t * tau scale."""
@@ -146,6 +164,46 @@ class TestHamiltonianPropagator:
         assert np.max(np.abs(vec(prop.state_at(psi0, t)) - u @ vec(psi0))) < 1e-12
         assert np.max(np.abs(prop.state_at(rho0, t).density()
                              - u @ rho0.density() @ u.conj().T)) < 1e-12
+
+    @given(chiral_models(), st.integers(0, 2**32 - 1), st.floats(0.0, 5.0))
+    def test_chiral_models_match_dense_eigh(self, spec, seed, t):
+        h = build_hamiltonian(spec)
+        prop = HamiltonianPropagator(h)
+        e, v = prop.eigenvalues, prop.eigenvectors
+        half = len(e) // 2
+        assert np.array_equal(e[:half], -e[half:])       # taken from the coupling block
+        assert np.max(np.abs((v * e) @ v.T - h.entries)) < 1e-12
+        assert np.max(np.abs(v.T @ v - np.eye(len(e)))) < 1e-12
+        kets = random_kets(np.random.default_rng(seed), len(e), 3)
+        got = prop.state_at(KetEnsemble(spec.layout(), kets), t).kets
+        e_ref, v_ref = np.linalg.eigh(h.entries)
+        want = v_ref @ (np.exp(-1j * e_ref * t)[:, None] * (v_ref.T @ kets))
+        assert np.max(np.abs(got - want)) < 1e-10
+
+    def test_chiral_zero_modes(self):
+        # B is rank-deficient in every qubit model: |g,0> has no partner to
+        # lower into, so it is a zero mode and stays put
+        s = two_body(cutoff=10)
+        prop = HamiltonianPropagator(build_hamiltonian(s))
+        assert np.sum(np.abs(prop.eigenvalues) < 1e-12) >= 2
+        ground = fock_state(s, 0)
+        assert np.max(np.abs(prop.state_at(ground, 3.7).kets - ground.kets)) < 1e-12
+
+    @pytest.mark.parametrize("kw, level", [
+        (dict(omega=0.5), None), (dict(Omega=0.5), None), (dict(Delta=0.5), None),
+        (dict(pump=0j, pump_dim=3, nu=0.5), None),
+        (dict(absorber="oscillator", absorber_dim=3), None),
+        (dict(), 0), (dict(), 6)], ids=["omega", "Omega", "Delta", "nu", "odd", "g0", "e0"])
+    def test_non_chiral_models_use_dense_eigh(self, kw, level):
+        h = build_hamiltonian(two_body(cutoff=6, **kw))
+        if level is not None:       # one diagonal entry on an even or an odd absorber level
+            entries = h.entries.copy()
+            entries[level, level] = 0.5
+            h = Hamiltonian(h.layout, entries)
+        prop = HamiltonianPropagator(h)
+        e, v = np.linalg.eigh(h.entries)
+        assert np.array_equal(prop.eigenvalues, e)
+        assert np.array_equal(prop.eigenvectors, v)
 
     def test_zero_time_returns_the_input(self, rng):
         # a Fock input keeps exactly zero number spread at t = 0
