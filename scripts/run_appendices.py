@@ -35,7 +35,7 @@ SLOW = [
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("output_root", nargs="?", default="results")
-    ap.add_argument("--jobs", type=int, default=2)
+    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--skip-slow", action="store_true")
     args = ap.parse_args()
     runs = FAST if args.skip_slow else FAST + SLOW

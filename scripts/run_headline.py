@@ -23,7 +23,7 @@ RUNS = [
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("output_root", nargs="?", default="results")
-    ap.add_argument("--jobs", type=int, default=2)
+    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
     for command, name in RUNS:
         print(f"== {name} ==", flush=True)

@@ -86,7 +86,7 @@ def _cmd_robustness(config: ScenarioConfig, args) -> dict:
 
 def _cmd_wigner(config: ScenarioConfig, args) -> dict:
     tau = config.schedule.tau_max if config.schedule.points > 1 else 0.0
-    rho, = experiments.oscillator_states(config, [tau], cutoff=config.model.cutoff)
+    rho, = experiments.oscillator_states(config, [tau])
     _, grid, negativity = experiments.wigner_snapshot(rho, config.diagnostics.wigner_points)
     out = _resolve_output(config, args)
     payload = {
@@ -123,6 +123,8 @@ _EXIT_CODES = ((ConfigError, 2), (TruncationError, 3), (IntegrationError, 4),
 def dispatch(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         config = load_config(args.config).apply_overrides(args.overrides)
         if args.command == "switch" and config.schedule.type != "switch":
             raise ConfigError("the switch subcommand needs a switch schedule")

@@ -5,10 +5,6 @@ class SimulationError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimensionError(SimulationError):
-    """A dimension argument is invalid (e.g. Fock cutoff below 2)."""
-
-
 class LayoutError(SimulationError):
     """Tensor-factor layouts are incompatible or a factor label is unknown."""
 
@@ -23,6 +19,10 @@ class TruncationError(SimulationError):
 
 class ConfigError(SimulationError):
     """A scenario configuration document is malformed."""
+
+
+class DimensionError(ConfigError):
+    """A dimension argument is invalid (e.g. Fock cutoff below 2)."""
 
 
 class IntegrationError(SimulationError):

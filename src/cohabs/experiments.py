@@ -104,8 +104,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         ladder = self.cutoff_ladder
-        if ladder and any(b <= a for a, b in zip(ladder, ladder[1:])):
-            raise ConfigError(f"cutoff ladder must be strictly increasing, got {ladder}")
+        if ladder and (ladder[0] < 2 or any(b <= a for a, b in zip(ladder, ladder[1:]))):
+            raise ConfigError(f"cutoff ladder must be strictly increasing cutoffs >= 2, "
+                              f"got {ladder}")
         if self.sweep and frozenset(self.sweep) not in _SWEEP_KINDS:
             accepted = "; ".join(" + ".join(_ordered(axes)) for axes in _SWEEP_KINDS)
             raise ConfigError(f"sweep axes {sorted(self.sweep)} are not one of the "
@@ -114,6 +115,8 @@ class ScenarioConfig:
             if not isinstance(vals, (list, tuple)) or len(vals) == 0:
                 raise ConfigError(f"sweep axis {axis!r} must be a non-empty list")
             list(map(_AXES[axis][0], vals))
+            if ignored := _ignoring(self, axis):
+                raise ConfigError(f"sweep axis {axis!r} does not apply to {ignored}")
         if not (math.isfinite(self.lindblad_tol) and self.lindblad_tol > 0):
             raise ConfigError(f"lindblad_tol must be finite and > 0, got {self.lindblad_tol}")
 
@@ -280,23 +283,15 @@ class PointRun:
     snapshots: dict = field(default_factory=dict, repr=False)
 
     def summary(self) -> dict:
-        idx_max = int(np.argmax([r.coherence for r in self.records])) if self.records else 0
-        rec = self.records[idx_max] if self.records else None
-        out = {
-            **self.coords,
-            "max_coherence": self.max_coherence,
-            "tau_at_max": self.tau_at_max,
-            "half_coherence": self.half_coherence,
-            "tau_at_half": self.tau_at_half,
-            "convergence_shift": self.convergence_shift,
-            "converged": self.converged,
-            "leakage_flag": self.leakage_flag,
-        }
-        if rec is not None:
-            out["mean_N_at_max"] = rec.mean_n
-            out["std_N_at_max"] = rec.std_n
-        out.update(self.extras)
-        return out
+        at_max = self.records[int(np.argmax([r.coherence for r in self.records]))]
+        return {**self.coords, **self.headline(), "converged": self.converged,
+                "mean_N_at_max": at_max.mean_n, "std_N_at_max": at_max.std_n, **self.extras}
+
+    def headline(self) -> dict:
+        """The headline numbers and flags that every report carries."""
+        return {key: getattr(self, key) for key in (
+            "max_coherence", "tau_at_max", "half_coherence", "tau_at_half",
+            "convergence_shift", "leakage_flag")}
 
 
 def _pieces(config: ScenarioConfig, model: ModelSpec,
@@ -366,17 +361,15 @@ def _evolve(config: ScenarioConfig, cutoff: int, taus, observe,
     return taus, np.asarray(taus, float) / model.tau_scale()
 
 
-def oscillator_states(config: ScenarioConfig, taus, cutoff: int | None = None,
-                      propagators: dict | None = None) -> list:
+def oscillator_states(config: ScenarioConfig, taus, propagators: dict | None = None) -> list:
     """Reduced oscillator states at the scaled times `taus`, at the top ladder
-    cutoff unless `cutoff` is given; continuous schedules only.  Unitary runs
-    give ket ensembles (rho = Phi Phi^dag), dephased runs density matrices;
-    every function in `observables` takes either.  `propagators` is the
-    caller's {Hamiltonian key: propagator}, so states sampled after a run
-    reuse its propagator."""
+    cutoff; continuous schedules only.  Unitary runs give ket ensembles
+    (rho = Phi Phi^dag), dephased runs density matrices; every function in
+    `observables` takes either.  `propagators` is the caller's {Hamiltonian
+    key: propagator}, so states sampled after a run reuse its propagator."""
     grid = sorted({float(tau) for tau in taus})
     rhos = []
-    _evolve(config, config.ladder()[-1] if cutoff is None else cutoff, grid,
+    _evolve(config, config.ladder()[-1], grid,
             lambda state: rhos.append(partial_trace(state, OSC_LABEL)),
             {} if propagators is None else propagators)
     lookup = dict(zip(grid, rhos))
@@ -425,8 +418,7 @@ class _RecordStates:
         return {index: state for index, _, state in self._kept}
 
 
-def run_point(config: ScenarioConfig, coords: dict | None = None,
-              propagators: dict | None = None) -> PointRun:
+def run_point(config: ScenarioConfig, propagators: dict | None = None) -> PointRun:
     """Run the scenario over its cutoff ladder; series kept for the top cutoff.
     `propagators` ({Hamiltonian key: propagator}) supplies and collects the
     run's propagators.  When the config asks for Wigner grids or shell
@@ -457,7 +449,7 @@ def run_point(config: ScenarioConfig, coords: dict | None = None,
         states_by_index = kept.states()
         snapshots = {"half": states_by_index[i_half], "max": states_by_index[i_max]}
     return PointRun(
-        coords=dict(coords or {}),
+        coords={},
         taus=taus, times=times, records=records,
         max_coherence=float(records[i_max].coherence), tau_at_max=float(taus[i_max]),
         half_coherence=float(records[i_half].coherence), tau_at_half=float(taus[i_half]),
@@ -529,6 +521,41 @@ def _ensure_dir(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# batches of runs
+
+def _parallel(fn, items, jobs: int):
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(it) for it in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
+def run_batch(items: list[tuple[ScenarioConfig, Callable | None]], jobs: int = 1) -> list:
+    """Every run of a command, in one pool of `jobs` workers.  An item is
+    (config, report): its result is the config's PointRun or, with a report,
+    report(config, run, propagators), evaluated in the run's worker with the
+    run's own propagators.  Equal items run once.  Each Hamiltonian that two
+    or more pieces of the batch's runs use is diagonalised once, up front and
+    in parallel; every run takes a copy of those and only reads them, and
+    every other propagator is built by, and freed with, the run that uses it."""
+    unique = [item for i, item in enumerate(items) if item not in items[:i]]
+    uses = Counter(_hamiltonian_key(piece) for cfg, _ in unique for cutoff in cfg.ladder()
+                   for piece, _times in _pieces(cfg, replace(cfg.model, cutoff=cutoff), ())
+                   if piece.dephasing_rate == 0)
+    keys = [m for m, count in uses.items() if count >= 2]
+    shared = dict(zip(keys, _parallel(_propagator, keys, jobs)))
+
+    def one(item):
+        cfg, report = item
+        propagators = dict(shared)
+        run = run_point(cfg, propagators)
+        return run if report is None else report(cfg, run, propagators)
+
+    results = _parallel(one, unique, jobs)
+    return [results[unique.index(item)] for item in items]
+
+
+# ---------------------------------------------------------------------------
 # sweeps
 
 @dataclass
@@ -547,31 +574,6 @@ class SweepResult:
         }
 
 
-def _parallel(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def _unitary_models(config: ScenarioConfig) -> list[ModelSpec]:
-    """The Hamiltonian key of each unitary piece of a run, at each ladder
-    cutoff."""
-    return [_hamiltonian_key(piece) for cutoff in config.ladder()
-            for piece, _ in _pieces(config, replace(config.model, cutoff=cutoff), ())
-            if piece.dephasing_rate == 0]
-
-
-def _shared_propagators(configs, jobs: int) -> dict[ModelSpec, HamiltonianPropagator]:
-    """{Hamiltonian key: propagator} of the Hamiltonians that two or more
-    pieces of one batch's runs use, built once, up front and in parallel.
-    Each run takes a copy and only reads these; every other propagator is
-    built by, and freed with, the run that uses it."""
-    uses = Counter(m for cfg in configs for m in _unitary_models(cfg))
-    shared = [m for m, count in uses.items() if count >= 2]
-    return dict(zip(shared, _parallel(_propagator, shared, jobs)))
-
-
 def _model(config: ScenarioConfig, **changes) -> ScenarioConfig:
     return replace(config, model=replace(config.model, **changes))
 
@@ -587,10 +589,24 @@ def _pump(b) -> complex:
     return complex(b) if isinstance(b, str) else from_document(complex, b, "sweep.beta")
 
 
+def _ignoring(config: ScenarioConfig, axis: str) -> str | None:
+    """What in the config leaves the sweep axis without effect, or None: n and
+    p need an input that reads n, G an interaction of order 1 and one of
+    another order, omega a model without the detuning that replaces it."""
+    if axis in ("n", "p") and config.initial.kind not in ("fock", "admixture"):
+        return f"a {config.initial.kind} input"
+    if axis == "G" and {it.order == 1 for it in config.model.interactions} != {True, False}:
+        return "a model without interactions of order 1 and of another order"
+    if axis == "omega" and config.model.Delta is not None:
+        return "a detuned model, whose Delta replaces omega"
+    return None
+
+
 # axis -> (its coordinate in the results, the config edit of one value).  The
 # order of this map is the order of a sweep's cartesian product (n before G,
 # omega before Omega); config documents sort their sweep keys.  ScenarioConfig
-# checks that every value gives a coordinate.
+# checks that every value gives a coordinate and that the config reads the
+# axis (`_ignoring`).
 _AXES: dict[str, tuple[Callable, Callable]] = {
     "n": (partial(from_document, int, where="sweep.n"),
           lambda cfg, n: replace(cfg, initial=replace(cfg.initial, n=int(n)))),
@@ -609,28 +625,29 @@ def _ordered(axes) -> list[str]:
     return [axis for axis in _AXES if axis in axes]
 
 
-def _shell_removal_at_max(shared, cfg: ScenarioConfig, run: PointRun) -> None:
+# A sweep kind's report is a plain function of the config, its finished point
+# runs, the finished run of each point's reference (None for a point without
+# one) and the output directory; it returns the fields it adds to `argmax`.
+
+def _shell_removal_at_max(config, runs, references, output_dir) -> dict:
     """bars: the coherence left after Gaussian-shell removal at the
     max-coherence time, for n > 0."""
-    if cfg.diagnostics.shell_removal and cfg.initial.n > 0 and run.snapshots:
-        run.extras["shell_removed_coherence"] = observables.coherence(
-            observables.remove_gaussian_shell(run.snapshots["max"]))
+    for run in runs:
+        if config.diagnostics.shell_removal and run.coords["n"] > 0 and run.snapshots:
+            run.extras["shell_removed_coherence"] = observables.coherence(
+                observables.remove_gaussian_shell(run.snapshots["max"]))
+    return {}
 
 
-def _count_local_maxima(values: np.ndarray) -> int:
-    from scipy.signal import find_peaks
-    return int(len(find_peaks(values, prominence=0.01)[0]))
-
-
-def _ratio_argmax(shared, config: ScenarioConfig, runs: list[PointRun],
-                  output_dir: str | None) -> dict:
+def _ratio_argmax(config, runs, references, output_dir) -> dict:
     """landscape: each trace's coherence at tau = pi and its local maxima,
     and per n the G whose coherence at tau = pi is largest."""
+    from scipy.signal import find_peaks
     for run in runs:
         idx_pi = int(np.argmin(np.abs(run.taus - math.pi)))
         run.extras["coherence_at_pi"] = run.records[idx_pi].coherence
-        run.extras["local_maxima"] = _count_local_maxima(
-            np.array([r.coherence for r in run.records]))
+        run.extras["local_maxima"] = len(find_peaks(
+            np.array([r.coherence for r in run.records]), prominence=0.01)[0])
     argmax_g = {}
     for n in sorted({r.coords["n"] for r in runs}):
         best = max((r for r in runs if r.coords["n"] == n),
@@ -646,16 +663,13 @@ def _interaction_only(config: ScenarioConfig) -> ScenarioConfig:
     return _model(config, omega=0.0, Omega=0.0)
 
 
-def _against_baseline(shared, config: ScenarioConfig, runs: list[PointRun],
-                      output_dir: str | None) -> dict:
+def _against_baseline(config, runs, references, output_dir) -> dict:
     """weak scan: which (omega, Omega) beat the interaction-only run at the
-    same remaining parameters."""
-    baseline_cfg = _interaction_only(config)
-    baseline = run_point(baseline_cfg, propagators=dict(shared))
+    same remaining parameters, the reference of every point."""
+    baseline = references[0].max_coherence
     for run in runs:
-        run.extras["beats_interaction_only"] = bool(
-            run.max_coherence > baseline.max_coherence)
-    return {"interaction_only_baseline": baseline.max_coherence,
+        run.extras["beats_interaction_only"] = bool(run.max_coherence > baseline)
+    return {"interaction_only_baseline": baseline,
             "enhanced_points": [r.coords for r in runs
                                 if r.extras["beats_interaction_only"]]}
 
@@ -670,37 +684,33 @@ def _effective(cfg: ScenarioConfig) -> ScenarioConfig | None:
         for it in cfg.model.interactions))
 
 
-def _effective_deviation(shared, cfg: ScenarioConfig, run: PointRun) -> None:
-    """completed: the pumped trace against the effective two-body model's."""
-    eff_cfg = _effective(cfg)
-    if eff_cfg is None:
-        return
-    eff_run = run_point(eff_cfg, propagators=dict(shared))
-    eff = np.array([r.coherence for r in eff_run.records])
-    got = np.array([r.coherence for r in run.records])
-    run.extras["effective_max_coherence"] = float(eff.max())
-    run.extras["effective_trace_deviation"] = (
-        float(np.abs(got - eff).max() / eff.max()) if eff.max() > 0 else 0.0)
+def _effective_deviation(config, runs, references, output_dir) -> dict:
+    """completed: each pumped trace against its effective two-body model's."""
+    for run, eff_run in zip(runs, references):
+        if eff_run is None:
+            continue
+        eff = np.array([r.coherence for r in eff_run.records])
+        got = np.array([r.coherence for r in run.records])
+        run.extras["effective_max_coherence"] = float(eff.max())
+        run.extras["effective_trace_deviation"] = (
+            float(np.abs(got - eff).max() / eff.max()) if eff.max() > 0 else 0.0)
+    return {}
 
 
 @dataclass(frozen=True)
 class _SweepKind:
-    stem: str                        # <stem>_summary.json, <stem>_points.csv
-    point: Callable | None = None    # (shared, cfg, run), in the point's worker
-    finish: Callable | None = None   # (shared, config, runs, output_dir) -> argmax fields
-    companions: Callable = lambda config, cfgs: []   # the runs `point`/`finish` add
+    stem: str                                   # <stem>_summary.json, <stem>_points.csv
+    report: Callable = lambda config, runs, references, output_dir: {}
+    reference: Callable = lambda cfg: None      # a point's config -> the config it is set against
 
 
 _SWEEP_KINDS = {
-    frozenset({"n"}): _SweepKind("bars", point=_shell_removal_at_max),
+    frozenset({"n"}): _SweepKind("bars", _shell_removal_at_max),
     frozenset({"p"}): _SweepKind("admixture"),
-    frozenset({"n", "G"}): _SweepKind("landscape", finish=_ratio_argmax),
-    frozenset({"omega", "Omega"}): _SweepKind(
-        "weak_scan", finish=_against_baseline,
-        companions=lambda config, cfgs: [_interaction_only(config)]),
-    frozenset({"beta"}): _SweepKind(
-        "completed", point=_effective_deviation,
-        companions=lambda config, cfgs: [e for e in map(_effective, cfgs) if e is not None]),
+    frozenset({"n", "G"}): _SweepKind("landscape", _ratio_argmax),
+    frozenset({"omega", "Omega"}): _SweepKind("weak_scan", _against_baseline,
+                                              _interaction_only),
+    frozenset({"beta"}): _SweepKind("completed", _effective_deviation, _effective),
 }
 
 
@@ -719,30 +729,26 @@ def _sweep_points(config: ScenarioConfig) -> list[tuple[ScenarioConfig, dict]]:
 def sweep(config: ScenarioConfig, jobs: int = 1,
           output_dir: str | None = None) -> SweepResult:
     """Every point of the cartesian product of the `config.sweep` axes, with
-    that axis set's post-processing.  The set is one of: n (bars over the
-    initial occupation), p (ground-state admixture), n and G (coupling ratio
+    that axis set's report.  The set is one of: n (bars over the initial
+    occupation), p (ground-state admixture), n and G (coupling ratio
     landscape), omega and Omega (free-motion scan against the
     interaction-only baseline), beta (pumped completion against the two-body
-    model); `ScenarioConfig` rejects any other.  Each Hamiltonian that two
-    or more of the sweep's runs use is diagonalised once, up front."""
+    model); `ScenarioConfig` rejects any other.  The points and their
+    references run in one batch (`run_batch`), so a reference equal to a
+    point, such as the weak scan's baseline and its (0, 0) point, runs once."""
     if not config.sweep:
         raise ConfigError("the config has no sweep axes")
     kind = _SWEEP_KINDS[frozenset(config.sweep)]
     names = _ordered(config.sweep)
     points = _sweep_points(config)
-    cfgs = [cfg for cfg, _ in points]
-    shared = _shared_propagators(cfgs + kind.companions(config, cfgs), jobs)
-
-    def one(point) -> PointRun:
-        cfg, coords = point
-        run = run_point(cfg, coords, dict(shared))
-        if kind.point is not None:
-            kind.point(shared, cfg, run)
+    refs = [kind.reference(cfg) for cfg, _ in points]
+    configs = [cfg for cfg, _ in points] + [ref for ref in refs if ref is not None]
+    done = iter(run_batch([(cfg, None) for cfg in configs], jobs))
+    runs = [replace(next(done), coords=coords, extras={}) for _, coords in points]
+    reported = kind.report(config, runs, [None if ref is None else next(done) for ref in refs],
+                           output_dir)
+    for run in runs:
         run.snapshots.clear()
-        return run
-
-    runs = _parallel(one, points, jobs)
-    reported = kind.finish(shared, config, runs, output_dir) if kind.finish else {}
     best = max(runs, key=lambda r: r.max_coherence)
     result = SweepResult(
         axes={axis: [_AXES[axis][0](v) for v in config.sweep[axis]] for axis in names},
@@ -768,46 +774,31 @@ def sweep(config: ScenarioConfig, jobs: int = 1,
 # ---------------------------------------------------------------------------
 # robustness suite
 
-def _variant_report(config: ScenarioConfig, neg_times: int,
-                    propagators: dict) -> dict:
-    """Headline numbers plus negativity volumes at the half-max and max times
-    (and, when neg_times > 0, at that many later sample times)."""
-    run = run_point(config, propagators=propagators)
-    tau_samples = [run.tau_at_half, run.tau_at_max]
-    if neg_times > 0:
-        tail = np.linspace(run.tau_at_half, float(run.taus[-1]), neg_times)
-        tau_samples = tau_samples + [float(v) for v in tail]
+def _variant_report(config: ScenarioConfig, run: PointRun, propagators: dict,
+                    neg_times: int) -> dict:
+    """Headline numbers of a finished run plus negativity volumes at its
+    half-max and max times (and, when neg_times > 0, at that many later sample
+    times), from states evaluated again with the run's propagators."""
+    tau_samples = [run.tau_at_half, run.tau_at_max] + np.linspace(
+        run.tau_at_half, float(run.taus[-1]), neg_times).tolist()
     negs = [wigner_snapshot(rho, config.diagnostics.wigner_points)[2]
-            for rho in oscillator_states(config, tau_samples, propagators=propagators)]
-    report = {
-        "max_coherence": run.max_coherence,
-        "tau_at_max": run.tau_at_max,
-        "half_coherence": run.half_coherence,
-        "tau_at_half": run.tau_at_half,
-        "negativity_at_half": negs[0],
-        "negativity_at_max": negs[1],
-        "convergence_shift": run.convergence_shift,
-        "leakage_flag": run.leakage_flag,
-    }
+            for rho in oscillator_states(config, tau_samples, propagators)]
+    report = {**run.headline(), "negativity_at_half": negs[0], "negativity_at_max": negs[1]}
     if neg_times > 0:
-        report["negativity_samples"] = {
-            "taus": tau_samples[2:], "volumes": negs[2:]}
+        report["negativity_samples"] = {"taus": tau_samples[2:], "volumes": negs[2:]}
     return report
 
 
-def robustness_suite(base: ScenarioConfig, jobs: int = 1,
-                     output_dir: str | None = None) -> dict:
-    """Input-state and environment variants of the base scenario.
-
-    Runs, at the base parameters: oscillator dephasing at cutoff 120, thermal
-    and phase-randomized-coherent (Poissonian) inputs on the ladder (110, 120),
+def _robustness_variants(base: ScenarioConfig) -> dict:
+    """name -> (config, negativity samples after the max) of each variant, at
+    the base parameters: oscillator dephasing at cutoff 120, thermal and
+    phase-randomized-coherent (Poissonian) inputs on the ladder (110, 120),
     the unsaturable-absorber mixer (absorber dimension 32, cutoff 96), and
     ground-state admixtures.  The mixed inputs' ladder tops out where the
     reference values were computed; their coherence keeps creeping upward
-    with cutoff, and the convergence flag reports that honestly.
-    """
+    with cutoff, and the convergence flag reports that honestly."""
     rate = 0.1 * base.model.coupling(1)
-    variants = {        # name -> (config, negativity samples after the max)
+    return {
         "dephasing": (replace(_model(base, dephasing_rate=rate), cutoff_ladder=(120,)), 3),
         "thermal": (replace(base, initial=InitialStateSpec("thermal", nbar=7.0),
                             cutoff_ladder=(110, 120)), 0),
@@ -818,17 +809,23 @@ def robustness_suite(base: ScenarioConfig, jobs: int = 1,
                              cutoff_ladder=(96,)), 0),
         **{f"admixture_p{p}": (_admixture(base, p), 0) for p in (0.25, 0.5, 0.75)},
     }
-    shared = _shared_propagators([cfg for cfg, _ in variants.values()] + [base], jobs)
-    reports = _parallel(lambda v: _variant_report(v[0], v[1], dict(shared)),
-                        list(variants.values()), jobs)
-    results = dict(zip(variants, reports))
-    results["dephasing"]["dephasing_rate"] = rate
 
-    reference = run_point(base, propagators=dict(shared))
-    results["reference"] = {
-        "max_coherence": reference.max_coherence,
-        "tau_at_max": reference.tau_at_max,
-    }
+
+def robustness_suite(base: ScenarioConfig, jobs: int = 1,
+                     output_dir: str | None = None) -> dict:
+    """Input-state and environment variants of the base scenario
+    (`_robustness_variants`), each reported in its own worker, and the base
+    scenario itself as the reference, all in one batch.  The base's sweep axes
+    are dropped: a variant's input need not read them."""
+    base = replace(base, sweep={})
+    variants = _robustness_variants(base)
+    *reports, reference = run_batch(
+        [(cfg, partial(_variant_report, neg_times=samples))
+         for cfg, samples in variants.values()] + [(base, None)], jobs)
+    results = dict(zip(variants, reports))
+    results["dephasing"]["dephasing_rate"] = variants["dephasing"][0].model.dephasing_rate
+    results["reference"] = {"max_coherence": reference.max_coherence,
+                            "tau_at_max": reference.tau_at_max}
     if output_dir:
         _write_json(os.path.join(_ensure_dir(output_dir), "robustness.json"), results)
     return results

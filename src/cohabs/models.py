@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, LayoutError, TruncationError
+from .errors import ConfigError, LayoutError, TruncationError
 from .hilbert import SpaceLayout
 
 ABSORBER_LABEL = "absorber"
@@ -62,10 +62,7 @@ class ModelSpec:
             raise ConfigError("model needs at least one interaction")
         if self.dephasing_rate < 0:
             raise ConfigError(f"dephasing rate must be >= 0, got {self.dephasing_rate}")
-        if self.cutoff < 2:
-            raise DimensionError(f"Fock cutoff must be >= 2, got {self.cutoff}")
-        if self.absorber == "oscillator" and self.absorber_dim < 2:
-            raise DimensionError("oscillator absorber needs dimension >= 2")
+        self.layout()                       # every factor needs dimension >= 2
         orders = [i.order for i in self.interactions]
         if len(set(orders)) != len(orders):
             raise ConfigError(f"duplicate interaction orders: {orders}")

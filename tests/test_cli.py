@@ -177,6 +177,18 @@ class TestDispatch:
         rho, = oscillator_states(load_config(dephased_cfg), [0.6])
         assert dephased["negativity_volume"] == wigner_snapshot(rho, 41)[2]
 
+    def test_wigner_runs_at_the_ladder_top(self, tmp_path, capsys):
+        # like every other command, not at model.cutoff
+        def doc(cutoff, ladder):
+            return tiny_doc(model={"interactions": [[1, 1.0], [2, 0.1]], "cutoff": cutoff},
+                            cutoff_ladder=ladder, diagnostics={"wigner_points": 41})
+        laddered, top, plain = (
+            run_json(capsys, ["wigner", "--config", write_config(tmp_path, d, name)])[1]
+            for name, d in (("laddered", doc(20, [6, 8])), ("top", doc(8, [])),
+                            ("plain", doc(20, []))))
+        assert laddered == top
+        assert laddered["negativity_volume"] != plain["negativity_volume"]
+
     def test_wigner_rejects_switch_schedule(self, tmp_path, capsys):
         doc = tiny_doc(schedule={"type": "switch", "segments": [[1, 0.5], [2, 0.5]]})
         code, _ = run_json(capsys, ["wigner", "--config", write_config(tmp_path, doc)])
@@ -275,6 +287,53 @@ class TestExitCodes:
     def test_unknown_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tiny_doc())
         assert dispatch(["evolve", "--config", cfg, "--set", "bogus.key=1"]) == 2
+
+    @pytest.mark.parametrize("config, override, message", [
+        ("fig1", "model.cutoff=1", "factor 'osc' has dimension 1 < 2"),
+        ("fig1", "cutoff_ladder=[1, 2]", "cutoffs >= 2, got (1, 2)"),
+        ("appendixD", "model.pump_dim=1", "factor 'pump' has dimension 1 < 2"),
+        ("appendixC_mw", "model.absorber_dim=1", "factor 'absorber' has dimension 1 < 2"),
+    ], ids=["cutoff", "ladder", "pump-dim", "absorber-dim"])
+    def test_dimension_below_two_exits_2_at_load(self, capsys, config, override, message):
+        argv = ["completed" if config == "appendixD" else "evolve",
+                "--config", str(CONFIGS / f"{config}.json"), "--set", override]
+        for extra in (["--dry-run"], []):
+            assert dispatch(argv + extra) == 2
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        argv = ["sweep", "--config", str(CONFIGS / "fig4.json"), "--jobs", jobs]
+        for extra in (["--dry-run"], []):
+            assert dispatch(argv + extra) == 2
+            assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("changes, axis, what", [
+        (dict(initial={"kind": "thermal", "nbar": 0.5}, sweep={"n": [1, 2, 3]}),
+         "n", "a thermal input"),
+        (dict(initial={"kind": "thermal", "nbar": 0.5}, sweep={"p": [0.2, 0.8]}),
+         "p", "a thermal input"),
+        (dict(initial={"kind": "ground"}, sweep={"n": [2], "G": [0.1, 1.0]}),
+         "n", "a ground input"),
+        (dict(model={"interactions": [[1, 1.0]], "cutoff": 20},
+              sweep={"n": [2], "G": [0.1, 1.0]}),
+         "G", "a model without interactions of order 1 and of another order"),
+        (dict(model={"interactions": [[2, 0.1]], "cutoff": 20},
+              sweep={"n": [2], "G": [0.1, 1.0]}),
+         "G", "a model without interactions of order 1 and of another order"),
+        (dict(model={"interactions": [[1, 1.0], [2, 0.1]], "cutoff": 20, "Delta": 0.5},
+              sweep={"omega": [0.0, 0.1], "Omega": [0.0]}),
+         "omega", "a detuned model"),
+    ], ids=["thermal-n", "thermal-p", "ground-n", "G-linear-only", "G-no-linear",
+            "omega-detuned"])
+    def test_sweep_axis_the_config_ignores_exits_2(self, tmp_path, capsys, changes, axis,
+                                                   what):
+        # a thermal input reads no n and the p axis would replace it; G scales
+        # no coupling without orders 1 and k > 1; Delta replaces omega
+        argv = ["sweep", "--config", write_config(tmp_path, tiny_doc(**changes))]
+        for extra in (["--dry-run"], []):
+            assert dispatch(argv + extra) == 2
+            assert f"sweep axis {axis!r} does not apply to {what}" in capsys.readouterr().err
 
     def test_switch_segment_without_duration_exits_2(self, tmp_path, capsys):
         for tau in (0.0, -0.5):

@@ -13,8 +13,9 @@ from cohabs.errors import ConfigError
 from cohabs.evolution import HamiltonianPropagator
 from cohabs.experiments import (DiagnosticsFlags, ScenarioConfig, ScheduleSpec,
                                 SwitchSegment, _headline, _RecordStates, from_document,
-                                load_config, oscillator_states, run_scenario, sweep,
-                                to_document, wigner_snapshot)
+                                load_config, oscillator_states, robustness_suite,
+                                run_point, run_scenario, sweep, to_document,
+                                wigner_snapshot)
 from cohabs.models import Interaction, ModelSpec
 from cohabs.observables import save_wigner_csv, save_wigner_text
 from cohabs.states import InitialStateSpec
@@ -375,6 +376,19 @@ def count_propagators(monkeypatch) -> list[str]:
     return built
 
 
+def count_runs(monkeypatch) -> list:
+    """The config of every run_point call from now on."""
+    calls = []
+    run = experiments.run_point
+
+    def counting(config, *args, **kw):
+        calls.append(config)
+        return run(config, *args, **kw)
+
+    monkeypatch.setattr(experiments, "run_point", counting)
+    return calls
+
+
 class TestSweeps:
     def test_bars_over_occupation(self, tmp_path):
         cfg = tiny_config(points=30, tau_max=TWO_PI,
@@ -435,6 +449,17 @@ class TestSweeps:
         assert sorted(built) == sorted(set(built))
         assert len(built) == DISTINCT_HAMILTONIANS[kind]
 
+    @pytest.mark.parametrize("omegas, runs", [([0.0, 0.1], 4), ([0.1, 0.2], 5)],
+                             ids=["grid-holds-zero", "grid-without-zero"])
+    def test_weak_scan_baseline_reuses_the_zero_point(self, omegas, runs, monkeypatch):
+        # the interaction-only baseline is the (0, 0) point's config: one run
+        calls = count_runs(monkeypatch)
+        cfg = replace(sweep_config("weak_scan"), sweep={"omega": omegas, "Omega": [0.0, 0.1]})
+        result = sweep(cfg, jobs=2)
+        assert len(calls) == runs
+        baseline = run_point(replace(cfg, model=replace(cfg.model, omega=0.0, Omega=0.0)))
+        assert result.argmax["interaction_only_baseline"] == baseline.max_coherence
+
     def test_completed_model_passivity_and_comparison(self):
         result = sweep(pumped_config(sweep={"beta": [0.0, 1.0]}), jobs=1)
         flat, pumped = result.points
@@ -451,3 +476,65 @@ class TestSweeps:
             p["max_coherence"] for p in doc["points"])
 
 
+ROBUSTNESS_VARIANTS = experiments._robustness_variants
+
+
+def small_variants(base):
+    """The robustness variants at small sizes: ladders (10, 12) or (12,), an
+    absorber of 4 levels, mixed inputs at mean occupation 0.3."""
+    out = {}
+    for name, (cfg, samples) in ROBUSTNESS_VARIANTS(base).items():
+        initial = cfg.initial
+        if initial.kind in ("thermal", "phase_randomized_coherent"):
+            initial = replace(initial, nbar=0.3)
+        model = replace(cfg.model, cutoff=12, absorber_dim=min(cfg.model.absorber_dim, 4))
+        ladder = (10, 12) if len(cfg.ladder()) == 2 else (12,)
+        out[name] = (replace(cfg, model=model, initial=initial, cutoff_ladder=ladder), samples)
+    return out
+
+
+class TestRobustnessSuite:
+    BASE = tiny_config(cutoff=12, n=3, points=20, tau_max=2.0, cutoff_ladder=(10, 12),
+                       diagnostics=DiagnosticsFlags(wigner_points=31))
+
+    @pytest.fixture(autouse=True)
+    def small(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_robustness_variants", small_variants)
+
+    def test_reports_and_reference(self):
+        results = robustness_suite(self.BASE)
+        variants = small_variants(self.BASE)
+        assert set(results) == set(variants) | {"reference"}
+        reference = run_point(self.BASE)
+        assert results["reference"] == {"max_coherence": reference.max_coherence,
+                                        "tau_at_max": reference.tau_at_max}
+        assert results["dephasing"]["dephasing_rate"] == 0.1
+        for name, (cfg, samples) in variants.items():
+            report, run = results[name], run_point(cfg)
+            assert (report["max_coherence"], report["tau_at_max"]) == (run.max_coherence,
+                                                                        run.tau_at_max)
+            tail = report.get("negativity_samples", {"taus": [], "volumes": []})
+            assert len(tail["taus"]) == samples
+            taus = [report["tau_at_half"], report["tau_at_max"]] + tail["taus"]
+            negs = [wigner_snapshot(rho, cfg.diagnostics.wigner_points)[2]
+                    for rho in oscillator_states(cfg, taus)]
+            assert negs == [report["negativity_at_half"], report["negativity_at_max"]] \
+                + tail["volumes"], name
+
+    def test_base_sweep_axes_are_dropped(self):
+        # the thermal variant reads no n, so the base's n axis cannot ride along
+        assert robustness_suite(replace(self.BASE, sweep={"n": [1, 2]})) == \
+            robustness_suite(self.BASE)
+
+    def test_file_independent_of_jobs(self, tmp_path):
+        for jobs in (1, 2):
+            robustness_suite(self.BASE, jobs=jobs, output_dir=str(tmp_path / f"jobs{jobs}"))
+        assert (tmp_path / "jobs1" / "robustness.json").read_bytes() == \
+            (tmp_path / "jobs2" / "robustness.json").read_bytes()
+
+    def test_every_run_is_in_the_batch(self, monkeypatch):
+        # the seven variants and the reference, each run once
+        calls = count_runs(monkeypatch)
+        robustness_suite(self.BASE, jobs=2)
+        assert len(calls) == 8
+        assert self.BASE in calls

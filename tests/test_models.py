@@ -352,13 +352,13 @@ class TestModelSpec:
 def shipped_models(config):
     """Every model a run of the config builds a Hamiltonian of, at a reduced
     size: the pieces (`experiments._pieces`) of the configured run, of each
-    sweep point's and of each companion run's; a switch schedule's pieces are
-    its segment models."""
+    sweep point's and of each point's reference run; a switch schedule's
+    pieces are its segment models."""
     cfgs = [config]
     if config.sweep:
         points = [cfg for cfg, _ in experiments._sweep_points(config)]
-        kind = experiments._SWEEP_KINDS[frozenset(config.sweep)]
-        cfgs += points + kind.companions(config, points)
+        reference = experiments._SWEEP_KINDS[frozenset(config.sweep)].reference
+        cfgs += points + [ref for ref in map(reference, points) if ref is not None]
     out = []
     for cfg in cfgs:
         m = cfg.model
