@@ -128,6 +128,8 @@ def dispatch(argv=None) -> int:
         config = load_config(args.config).apply_overrides(args.overrides)
         if args.command == "switch" and config.schedule.type != "switch":
             raise ConfigError("the switch subcommand needs a switch schedule")
+        if args.command == "robustness" and config.schedule.type != "continuous":
+            raise ConfigError("the robustness subcommand needs a continuous schedule")
         if args.dry_run:
             _print_summary({"resolved_config": config.to_dict(),
                             "config_hash": config.hash(),

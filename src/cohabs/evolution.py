@@ -14,7 +14,8 @@ matrix, held as one real matrix, and gives `QuantumState`s.  It is
 integrated by an adaptive Strang splitting: every step composes the exact
 unitary (a phase in the eigenbasis of H) with the exact dissipative
 semigroup of real jump operators diagonal in the storage basis, so every
-step is a CPTP map and the state stays positive at any tolerance.
+step is a CPTP map and the state stays positive at any tolerance.  A run
+keeps a few checkpoints, from which a later call resumes it bit for bit.
 """
 
 from __future__ import annotations
@@ -31,12 +32,18 @@ LEAKAGE_LEVELS = 5
 LEAKAGE_WARN = 1e-6
 INITIAL_STEP = 1e-2     # first trial step of the master-equation integrator
 MIN_STEP = 1e-12        # step size below which it gives up
+CHECKPOINTS = 8         # most checkpoints a master-equation run keeps
 
 
 @dataclass(frozen=True)
 class EvolutionResult:
     times: np.ndarray
     states: tuple[QuantumState, ...]
+    step: _StrangStep
+    # (t_out, t, sigma, h), kept as the output state at t_out was produced: the
+    # accepted state sigma at time t <= t_out, in the eigenbasis of H, and the
+    # trial step h that follows
+    checkpoints: tuple[tuple, ...]
 
 
 def top_level_population(state: QuantumState | KetEnsemble) -> float:
@@ -185,7 +192,8 @@ class _StrangStep:
 
 
 def lindblad_evolve(hamiltonian: Hamiltonian, jumps, rho0: QuantumState | KetEnsemble,
-                    times, tol: float = 1e-8, observer=None) -> EvolutionResult:
+                    times, tol: float = 1e-8, observer=None,
+                    resume: EvolutionResult | None = None) -> EvolutionResult:
     """Integrate the master equation with adaptive Strang splitting, for the
     jump operators whose real diagonals `jumps` holds (see
     `models.dephasing_dissipator`).  Each output state is passed to
@@ -201,6 +209,12 @@ def lindblad_evolve(hamiltonian: Hamiltonian, jumps, rho0: QuantumState | KetEns
     trajectory does not depend on the output grid.  Raises IntegrationError
     (carrying the time reached) on step-size underflow, and a StateError
     naming the output time when an output state is not positive.
+
+    A checkpoint is kept at every k-th output, with the smallest k that keeps
+    at most CHECKPOINTS.  `resume`, the result of a call with the same H,
+    jumps, rho0 and tol, continues that run from its latest checkpoint at or
+    before the first output time, with its own steps: every state equals that
+    of a call from t = 0 bit for bit.
     """
     if rho0.layout != hamiltonian.layout:
         raise LayoutError("state layout does not match the Hamiltonian")
@@ -211,16 +225,17 @@ def lindblad_evolve(hamiltonian: Hamiltonian, jumps, rho0: QuantumState | KetEns
     if len(back):
         raise StateError(f"output times must be strictly increasing: {times[back[0] + 1]} "
                          f"follows {times[back[0]]}")
-    step = _StrangStep(hamiltonian, list(jumps))
     rho_start = rho0.density()
     m_start = rho_start.real + rho_start.imag
-    sigma = _congruence(step.vecs.T, m_start)
-    layout = rho0.layout
-    t = 0.0
-    h = INITIAL_STEP
-    states = []
+    step = _StrangStep(hamiltonian, list(jumps)) if resume is None else resume.step
+    t, sigma, h = 0.0, _congruence(step.vecs.T, m_start), INITIAL_STEP
+    for t_out, *kept in () if resume is None else resume.checkpoints:
+        if len(times) and t_out <= times[0]:
+            t, sigma, h = kept
+    every = -(-len(times) // CHECKPOINTS)
+    states, checkpoints = [], []
 
-    for t_out in times:
+    for i, t_out in enumerate(times):
         while t + h <= t_out:
             y1 = step(sigma, h)
             y2 = step(step(sigma, 0.5 * h), 0.5 * h)
@@ -232,9 +247,11 @@ def lindblad_evolve(hamiltonian: Hamiltonian, jumps, rho0: QuantumState | KetEns
             h = h * min(2.0, max(0.2, factor))
             if h < MIN_STEP:
                 raise IntegrationError("step size underflow", time_reached=t)
+        if (i + 1) % every == 0:
+            checkpoints.append((float(t_out), t, sigma, h))
         # t = 0 is the identity map; the eigenbasis round trip would leave round-off in
         m = m_start if t_out == 0.0 else _congruence(step.vecs, step(sigma, float(t_out) - t))
-        st = QuantumState(layout, _decode(m), trace_atol=1e-8)
+        st = QuantumState(rho0.layout, _decode(m), trace_atol=1e-8)
         try:
             st.validate_positive(atol=1e-7)
         except StateError as exc:
@@ -243,4 +260,4 @@ def lindblad_evolve(hamiltonian: Hamiltonian, jumps, rho0: QuantumState | KetEns
             observer(st)
         else:
             states.append(st)
-    return EvolutionResult(times, tuple(states))
+    return EvolutionResult(times, tuple(states), step, tuple(checkpoints))

@@ -278,9 +278,9 @@ class PointRun:
     converged: bool
     leakage_flag: bool
     extras: dict = field(default_factory=dict)
-    # reduced states at the "half" and "max" times, kept when the config's
-    # diagnostics need them; never serialized
-    snapshots: dict = field(default_factory=dict, repr=False)
+    # trajectory(tau): a continuous run's reduced state at any scaled time tau
+    # at the top cutoff (see `_evolve`); never serialized
+    trajectory: Callable | None = field(default=None, repr=False)
 
     def summary(self) -> dict:
         at_max = self.records[int(np.argmax([r.coherence for r in self.records]))]
@@ -321,6 +321,12 @@ def _propagator(key: ModelSpec) -> HamiltonianPropagator:
     return HamiltonianPropagator(models.build_hamiltonian(key))
 
 
+def _resume(hamiltonian, jumps, rho0, tol: float, run, t: float):
+    """The state at raw time t of the dephased run `run`, resumed from its
+    latest checkpoint at or before t."""
+    return lindblad_evolve(hamiltonian, jumps, rho0, [t], tol=tol, resume=run).states[0]
+
+
 def _evolve(config: ScenarioConfig, cutoff: int, taus, observe,
             propagators: dict[ModelSpec, HamiltonianPropagator]):
     """Evolve the configured initial state at one cutoff, piece by piece (see
@@ -330,7 +336,10 @@ def _evolve(config: ScenarioConfig, cutoff: int, taus, observe,
     Unitary runs pass KetEnsembles, dephased runs density-matrix states.  A
     unitary piece takes its propagator from `propagators` (the caller's
     {Hamiltonian key: propagator}), building and adding it when missing.
-    Returns (taus, raw times)."""
+    Returns (taus, raw times, trajectory), where trajectory(tau) is the reduced
+    state at any scaled time of a continuous schedule, from the piece's
+    propagator and expansion or its checkpoints, with the series' own bits at
+    the series' times; None for a switch schedule."""
     sched = config.schedule
     if sched.type == "switch" and taus is not None:
         raise ConfigError("state reconstruction is only defined for continuous schedules")
@@ -347,9 +356,11 @@ def _evolve(config: ScenarioConfig, cutoff: int, taus, observe,
 
     for piece, times in _pieces(config, model, taus):
         if piece.dephasing_rate > 0:
+            hamiltonian, rho0 = models.build_hamiltonian(piece), state
             jumps = models.dephasing_dissipator(piece.dephasing_rate, piece)
-            lindblad_evolve(models.build_hamiltonian(piece), jumps, state, times,
-                            tol=config.lindblad_tol, observer=advance)
+            run = lindblad_evolve(hamiltonian, jumps, rho0, times, tol=config.lindblad_tol,
+                                  observer=advance)
+            state_at = partial(_resume, hamiltonian, jumps, rho0, config.lindblad_tol, run)
         else:
             key = _hamiltonian_key(piece)
             prop = propagators.get(key)
@@ -358,20 +369,22 @@ def _evolve(config: ScenarioConfig, cutoff: int, taus, observe,
             initial = prop.expand(state)
             for t in times:
                 advance(prop.state_at(initial, float(t)))
-    return taus, np.asarray(taus, float) / model.tau_scale()
+            state_at = partial(prop.state_at, initial)
+    scale = model.tau_scale()
+    trajectory = None if sched.type == "switch" else (
+        lambda tau: partial_trace(state_at(float(tau) / scale), OSC_LABEL))
+    return taus, np.asarray(taus, float) / scale, trajectory
 
 
-def oscillator_states(config: ScenarioConfig, taus, propagators: dict | None = None) -> list:
+def oscillator_states(config: ScenarioConfig, taus) -> list:
     """Reduced oscillator states at the scaled times `taus`, at the top ladder
-    cutoff; continuous schedules only.  Unitary runs give ket ensembles
-    (rho = Phi Phi^dag), dephased runs density matrices; every function in
-    `observables` takes either.  `propagators` is the caller's {Hamiltonian
-    key: propagator}, so states sampled after a run reuse its propagator."""
+    cutoff, from a run of their own; continuous schedules only.  Unitary runs
+    give ket ensembles (rho = Phi Phi^dag), dephased runs density matrices;
+    every function in `observables` takes either."""
     grid = sorted({float(tau) for tau in taus})
     rhos = []
     _evolve(config, config.ladder()[-1], grid,
-            lambda state: rhos.append(partial_trace(state, OSC_LABEL)),
-            {} if propagators is None else propagators)
+            lambda state: rhos.append(partial_trace(state, OSC_LABEL)), {})
     lookup = dict(zip(grid, rhos))
     return [lookup[float(tau)] for tau in taus]
 
@@ -384,70 +397,27 @@ def wigner_snapshot(rho, points: int):
     return spec, grid, observables.negativity_volume(grid)
 
 
-def _headline(coherences) -> tuple[int, int]:
-    """(index of the first max of C, index of the earliest C >= C_max / 2)."""
-    cs = np.asarray(coherences, float)
-    i_max = int(np.argmax(cs))
-    above = np.nonzero(cs >= cs[i_max] / 2.0)[0]
-    return i_max, int(above[0]) if len(above) else i_max
-
-
-class _RecordStates:
-    """The states at the running-coherence records of a series: the points
-    whose coherence is strictly above every earlier one.  Records are dropped
-    from the front once their coherence is below half the running max.  The
-    kept set holds `_headline`'s two points: the first max is a record, and
-    so is the earliest C >= C_max / 2, since every earlier C is below it;
-    neither ever falls below half the running max, so neither is dropped."""
-
-    def __init__(self):
-        self._kept: list[tuple[int, float, object]] = []   # (index, C, state)
-        self._count = 0
-
-    def add(self, coherence: float, state) -> None:
-        index = self._count
-        self._count += 1
-        if self._kept and coherence <= self._kept[-1][1]:
-            return
-        self._kept.append((index, coherence, state))
-        while self._kept[0][1] < coherence / 2.0:
-            del self._kept[0]
-
-    def states(self) -> dict:
-        """{index: state} of the kept records."""
-        return {index: state for index, _, state in self._kept}
-
-
 def run_point(config: ScenarioConfig, propagators: dict | None = None) -> PointRun:
-    """Run the scenario over its cutoff ladder; series kept for the top cutoff.
-    `propagators` ({Hamiltonian key: propagator}) supplies and collects the
-    run's propagators.  When the config asks for Wigner grids or shell
-    removal, the reduced states at the half-max and max times are kept from
-    the series itself in `snapshots`."""
+    """Run the scenario over its cutoff ladder; series and trajectory kept for
+    the top cutoff.  `propagators` ({Hamiltonian key: propagator}) supplies
+    and collects the run's propagators."""
     propagators = {} if propagators is None else propagators
-    ladder = config.ladder()
-    keep_states = ((config.diagnostics.wigner or config.diagnostics.shell_removal)
-                   and config.schedule.type == "continuous")
     max_by_cutoff = []
-    for cutoff in ladder:
+    for cutoff in config.ladder():
         records: list[DiagnosticsRecord] = []
-        kept = _RecordStates() if keep_states and cutoff == ladder[-1] else None
 
         def observe(state):
             rho = partial_trace(state, OSC_LABEL)
             records.append(diagnose(rho, top_level_population(state)))
-            if kept is not None:
-                kept.add(records[-1].coherence, rho)
 
-        taus, times = _evolve(config, cutoff, None, observe, propagators)
+        taus, times, trajectory = _evolve(config, cutoff, None, observe, propagators)
         max_by_cutoff.append(max(r.coherence for r in records))
     shift = (abs(max_by_cutoff[-1] - max_by_cutoff[-2])
              if len(max_by_cutoff) >= 2 else 0.0)
-    i_max, i_half = _headline([r.coherence for r in records])
-    snapshots = {}
-    if kept is not None:
-        states_by_index = kept.states()
-        snapshots = {"half": states_by_index[i_half], "max": states_by_index[i_max]}
+    cs = np.array([r.coherence for r in records])
+    i_max = int(np.argmax(cs))                          # the first max of C
+    above = np.flatnonzero(cs >= cs[i_max] / 2.0)       # the earliest C >= C_max / 2
+    i_half = int(above[0]) if len(above) else i_max
     return PointRun(
         coords={},
         taus=taus, times=times, records=records,
@@ -456,7 +426,7 @@ def run_point(config: ScenarioConfig, propagators: dict | None = None) -> PointR
         convergence_shift=shift,
         converged=shift <= CONVERGENCE_SHIFT_ATOL,
         leakage_flag=any(r.leakage > LEAKAGE_WARN for r in records),
-        snapshots=snapshots,
+        trajectory=trajectory,
     )
 
 
@@ -477,12 +447,14 @@ def _write_series_csv(path, taus, times, records) -> None:
 
 
 def _diag_extras(config: ScenarioConfig, run: PointRun, outdir: str | None) -> dict:
-    """Wigner grids and shell removal at the max and half-max times, from the
-    run's snapshots; grid files are written only when an output directory is
-    given."""
+    """Wigner grids at the half-max and max times and shell removal at the max
+    time, from the run's trajectory; grid files are written only when an
+    output directory is given."""
     info: dict = {}
-    for label, rho in run.snapshots.items():
-        if config.diagnostics.wigner:
+    flags = config.diagnostics
+    for label in ("half", "max") if flags.wigner else ("max",) if flags.shell_removal else ():
+        rho = run.trajectory(getattr(run, f"tau_at_{label}"))
+        if flags.wigner:
             grid_spec, grid, negativity = wigner_snapshot(rho, config.diagnostics.wigner_points)
             if outdir:
                 observables.save_wigner_text(grid, os.path.join(outdir, f"wigner_{label}.txt"))
@@ -492,7 +464,7 @@ def _diag_extras(config: ScenarioConfig, run: PointRun, outdir: str | None) -> d
                 "negativity_volume": negativity,
                 "extent": grid_spec.extent,
             }
-        if config.diagnostics.shell_removal and label == "max":
+        if flags.shell_removal and label == "max":
             shelled = observables.remove_gaussian_shell(rho)
             info["shell_removed_coherence"] = observables.coherence(shelled)
             info["raw_coherence_at_max"] = observables.coherence(rho)
@@ -503,7 +475,7 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> Point
     """Full single-scenario run with optional persisted artifacts."""
     run = run_point(config)
     outdir = _ensure_dir(output_dir) if output_dir else None
-    if run.snapshots:
+    if run.trajectory is not None:
         run.extras.update(_diag_extras(config, run, outdir))
     if outdir:
         _write_json(os.path.join(outdir, "config.json"),
@@ -532,12 +504,13 @@ def _parallel(fn, items, jobs: int):
 
 def run_batch(items: list[tuple[ScenarioConfig, Callable | None]], jobs: int = 1) -> list:
     """Every run of a command, in one pool of `jobs` workers.  An item is
-    (config, report): its result is the config's PointRun or, with a report,
-    report(config, run, propagators), evaluated in the run's worker with the
-    run's own propagators.  Equal items run once.  Each Hamiltonian that two
-    or more pieces of the batch's runs use is diagonalised once, up front and
-    in parallel; every run takes a copy of those and only reads them, and
-    every other propagator is built by, and freed with, the run that uses it."""
+    (config, report): its result is report(config, run), evaluated in the
+    run's worker, or the run, which keeps its trajectory (and with it the
+    propagator or checkpoints) only for Wigner grids or shell removal.  Equal
+    items run once.  Each Hamiltonian that two or more pieces of the batch's
+    runs use is diagonalised once, up front and in parallel; every run takes a
+    copy of those and only reads them, and every other propagator is built by,
+    and freed with, the run that uses it."""
     unique = [item for i, item in enumerate(items) if item not in items[:i]]
     uses = Counter(_hamiltonian_key(piece) for cfg, _ in unique for cutoff in cfg.ladder()
                    for piece, _times in _pieces(cfg, replace(cfg.model, cutoff=cutoff), ())
@@ -547,9 +520,10 @@ def run_batch(items: list[tuple[ScenarioConfig, Callable | None]], jobs: int = 1
 
     def one(item):
         cfg, report = item
-        propagators = dict(shared)
-        run = run_point(cfg, propagators)
-        return run if report is None else report(cfg, run, propagators)
+        run = run_point(cfg, dict(shared))
+        if report is None and not (cfg.diagnostics.wigner or cfg.diagnostics.shell_removal):
+            run.trajectory = None
+        return run if report is None else report(cfg, run)
 
     results = _parallel(one, unique, jobs)
     return [results[unique.index(item)] for item in items]
@@ -633,9 +607,9 @@ def _shell_removal_at_max(config, runs, references, output_dir) -> dict:
     """bars: the coherence left after Gaussian-shell removal at the
     max-coherence time, for n > 0."""
     for run in runs:
-        if config.diagnostics.shell_removal and run.coords["n"] > 0 and run.snapshots:
+        if config.diagnostics.shell_removal and run.coords["n"] > 0 and run.trajectory:
             run.extras["shell_removed_coherence"] = observables.coherence(
-                observables.remove_gaussian_shell(run.snapshots["max"]))
+                observables.remove_gaussian_shell(run.trajectory(run.tau_at_max)))
     return {}
 
 
@@ -747,8 +721,8 @@ def sweep(config: ScenarioConfig, jobs: int = 1,
     runs = [replace(next(done), coords=coords, extras={}) for _, coords in points]
     reported = kind.report(config, runs, [None if ref is None else next(done) for ref in refs],
                            output_dir)
-    for run in runs:
-        run.snapshots.clear()
+    for run in runs:            # read by the report; each holds a propagator or checkpoints
+        run.trajectory = None
     best = max(runs, key=lambda r: r.max_coherence)
     result = SweepResult(
         axes={axis: [_AXES[axis][0](v) for v in config.sweep[axis]] for axis in names},
@@ -774,15 +748,14 @@ def sweep(config: ScenarioConfig, jobs: int = 1,
 # ---------------------------------------------------------------------------
 # robustness suite
 
-def _variant_report(config: ScenarioConfig, run: PointRun, propagators: dict,
-                    neg_times: int) -> dict:
+def _variant_report(config: ScenarioConfig, run: PointRun, neg_times: int) -> dict:
     """Headline numbers of a finished run plus negativity volumes at its
     half-max and max times (and, when neg_times > 0, at that many later sample
-    times), from states evaluated again with the run's propagators."""
+    times), from the run's trajectory."""
     tau_samples = [run.tau_at_half, run.tau_at_max] + np.linspace(
         run.tau_at_half, float(run.taus[-1]), neg_times).tolist()
-    negs = [wigner_snapshot(rho, config.diagnostics.wigner_points)[2]
-            for rho in oscillator_states(config, tau_samples, propagators)]
+    negs = [wigner_snapshot(run.trajectory(tau), config.diagnostics.wigner_points)[2]
+            for tau in tau_samples]
     report = {**run.headline(), "negativity_at_half": negs[0], "negativity_at_max": negs[1]}
     if neg_times > 0:
         report["negativity_samples"] = {"taus": tau_samples[2:], "volumes": negs[2:]}
@@ -817,6 +790,9 @@ def robustness_suite(base: ScenarioConfig, jobs: int = 1,
     (`_robustness_variants`), each reported in its own worker, and the base
     scenario itself as the reference, all in one batch.  The base's sweep axes
     are dropped: a variant's input need not read them."""
+    if base.schedule.type != "continuous":
+        raise ConfigError("the robustness suite samples states, which needs a continuous "
+                          "schedule")
     base = replace(base, sweep={})
     variants = _robustness_variants(base)
     *reports, reference = run_batch(

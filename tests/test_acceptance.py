@@ -87,7 +87,7 @@ def dephasing_run():
             0.5 * (run.tau_at_half + float(run.taus[-1])),
             float(run.taus[-1])]
     negs = []
-    for rho in experiments.oscillator_states(cfg, taus):
+    for rho in map(run.trajectory, taus):
         grid = observables.wigner(
             rho, observables.WignerGridSpec.for_state(rho, points=201))
         negs.append(observables.negativity_volume(grid))

@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from cohabs import experiments
 from cohabs.cli import dispatch
 from cohabs.experiments import load_config, oscillator_states, wigner_snapshot
 
@@ -72,6 +73,17 @@ class TestDispatch:
         cfg = write_config(tmp_path, tiny_doc())
         code, _ = run_json(capsys, ["switch", "--config", cfg])
         assert code == 2
+
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_robustness_rejects_switch_schedule(self, capsys, monkeypatch, dry_run):
+        # at load, before any run: the suite samples states at chosen times
+        calls = []
+        monkeypatch.setattr(experiments, "run_point", lambda *a, **kw: calls.append(a))
+        code = dispatch(["robustness", "--config", str(CONFIGS / "fig2.json"),
+                         "--jobs", "1"] + dry_run)
+        assert code == 2
+        assert calls == []
+        assert "continuous schedule" in capsys.readouterr().err
 
     def test_sweep_axes(self, tmp_path, capsys):
         doc = tiny_doc(sweep={"n": [1, 2]})

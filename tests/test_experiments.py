@@ -4,18 +4,18 @@ import json
 import math
 import pathlib
 
-from hypothesis import example, given, strategies as st
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from cohabs import experiments
 from cohabs.errors import ConfigError
-from cohabs.evolution import HamiltonianPropagator
+from cohabs.evolution import CHECKPOINTS, HamiltonianPropagator, _StrangStep
+from cohabs.hilbert import KetEnsemble
 from cohabs.experiments import (DiagnosticsFlags, ScenarioConfig, ScheduleSpec,
-                                SwitchSegment, _headline, _RecordStates, from_document,
-                                load_config, oscillator_states, robustness_suite,
-                                run_point, run_scenario, sweep, to_document,
-                                wigner_snapshot)
+                                SwitchSegment, from_document, load_config,
+                                oscillator_states, robustness_suite, run_batch, run_point,
+                                run_scenario, sweep, to_document, wigner_snapshot)
 from cohabs.models import Interaction, ModelSpec
 from cohabs.observables import save_wigner_csv, save_wigner_text
 from cohabs.states import InitialStateSpec
@@ -131,18 +131,31 @@ class TestRunScenario:
         assert run.extras["raw_coherence_at_max"] == run.max_coherence
 
     def test_dephased_run_integrates_once(self, monkeypatch):
-        # the Wigner and shell-removal snapshots come from the series pass
-        calls = []
+        # the series is the one integration from t = 0; each of the two
+        # snapshot states resumes from a checkpoint, so it costs at most one
+        # checkpoint interval of Strang-step attempts
+        cfg = replace(dephased_config(shell_removal=True),
+                      schedule=ScheduleSpec(tau_max=0.6, points=40))
+        steps, marks, resumes = [], [], []
+        step, leakage = _StrangStep.__call__, experiments.top_level_population
         evolve = experiments.lindblad_evolve
-
-        def counting(*args, **kw):
-            calls.append(args)
-            return evolve(*args, **kw)
-
-        monkeypatch.setattr(experiments, "lindblad_evolve", counting)
-        run = run_scenario(dephased_config(shell_removal=True))
-        assert len(calls) == 1
+        monkeypatch.setattr(_StrangStep, "__call__",
+                            lambda self, sigma, h: steps.append(h) or step(self, sigma, h))
+        # the series' step count as each output state is observed
+        monkeypatch.setattr(experiments, "top_level_population",
+                            lambda state: marks.append(len(steps)) or leakage(state))
+        monkeypatch.setattr(experiments, "lindblad_evolve",
+                            lambda *a, **kw: resumes.append(kw.get("resume")) or evolve(*a, **kw))
+        run = run_scenario(cfg)
         assert {"wigner_half", "wigner_max", "shell_removed_coherence"} <= set(run.extras)
+        assert resumes[0] is None and len(resumes) == 3
+        assert all(r is not None for r in resumes[1:])
+        every = -(-len(marks) // CHECKPOINTS)
+        bounds = [0] + marks[every - 1::every] + [marks[-1]]
+        interval = max(b - a for a, b in zip(bounds, bounds[1:]))
+        # an attempt is three steps and an output state one more; a resume
+        # from t = 0 would cost every step before the state's time
+        assert len(steps) - marks[-1] <= 2 * interval < marks[-1]
 
     @pytest.mark.parametrize("dephasing_rate", [0.0, 0.05], ids=["unitary", "dephased"])
     def test_wigner_files_match_oscillator_states(self, dephasing_rate, tmp_path):
@@ -153,9 +166,8 @@ class TestRunScenario:
         ref.mkdir()
         for label, rho in zip(("half", "max"), rhos):
             grid = wigner_snapshot(rho, cfg.diagnostics.wigner_points)[1]
-            assert np.array_equal(
-                grid.values,
-                wigner_snapshot(run.snapshots[label], cfg.diagnostics.wigner_points)[1].values)
+            assert np.array_equal(state_array(rho),
+                                  state_array(run.trajectory(getattr(run, f"tau_at_{label}"))))
             save_wigner_text(grid, str(ref / f"wigner_{label}.txt"))
             save_wigner_csv(grid, str(ref / f"wigner_{label}.csv"))
             for suffix in ("txt", "csv"):
@@ -169,7 +181,7 @@ class TestRunScenario:
                           "mean_X,mean_P,V11,V22,V12,leakage")
 
     def test_one_propagator_per_cutoff(self, monkeypatch):
-        # one propagator per ladder cutoff; the snapshots build none of their own
+        # one propagator per ladder cutoff; the trajectory builds none of its own
         built = count_propagators(monkeypatch)
         run_scenario(tiny_config(points=25, tau_max=1.5, cutoff_ladder=(16, 24),
                                  diagnostics=DiagnosticsFlags(wigner=True, shell_removal=True,
@@ -283,53 +295,61 @@ def dephased_config(dephasing_rate=0.05, shell_removal=False):
     return replace(cfg, model=replace(cfg.model, dephasing_rate=dephasing_rate))
 
 
-coherences = st.floats(0.0, 1.0, allow_nan=False)
+def state_array(rho) -> np.ndarray:
+    """The array a reduced state holds: a ket ensemble's kets or a density
+    matrix."""
+    return rho.kets if isinstance(rho, KetEnsemble) else rho.data
 
 
 class TestSnapshotRecords:
-    """`_RecordStates` keeps the two points `_headline` reports."""
-
-    @given(st.one_of(st.lists(coherences, min_size=1, max_size=60),
-                     st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1,
-                              max_size=30)))
-    @example([0.0])
-    @example([0.0] * 7)
-    @example([0.3])
-    @example([0.1, 0.2, 0.3, 0.4])
-    @example([0.4, 0.3, 0.2, 0.1])
-    @example([0.1, 0.5, 0.5, 1.0, 1.0, 0.5])
-    def test_kept_records_hold_headline_points(self, cs):
-        kept = _RecordStates()
-        for i, c in enumerate(cs):
-            kept.add(c, f"state {i}")
-        states = kept.states()
-        i_max, i_half = _headline(cs)
-        assert {i_max, i_half} <= set(states)
-        assert states[i_max] == f"state {i_max}"
-        assert states[i_half] == f"state {i_half}"
-
-    def test_kept_set_is_small_on_a_rise(self):
-        # records below half the running max are dropped from the front
-        kept = _RecordStates()
-        for i in range(1, 101):
-            kept.add(float(i), i)
-        assert sorted(kept.states()) == list(range(49, 100))
+    """The snapshot states of a run are read from its trajectory, which a
+    batch run keeps only when its config asks for them."""
 
     @pytest.mark.parametrize("flags, expected", [
         (DiagnosticsFlags(), set()),
         (DiagnosticsFlags(wigner=True), {"half", "max"}),
-        (DiagnosticsFlags(shell_removal=True), {"half", "max"}),
+        (DiagnosticsFlags(shell_removal=True), {"max"}),
     ])
     def test_snapshots_kept_only_when_asked(self, flags, expected):
-        run = run_scenario(tiny_config(points=20, diagnostics=flags))
-        assert set(run.snapshots) == expected
+        cfg = tiny_config(points=20, diagnostics=flags)
+        run = run_point(cfg)
+        read, trajectory = [], run.trajectory
+        run.trajectory = lambda tau: read.append(tau) or trajectory(tau)
+        experiments._diag_extras(cfg, run, None)
+        assert read == [getattr(run, f"tau_at_{label}") for label in ("half", "max")
+                        if label in expected]
+        batch_run, = run_batch([(cfg, None)])
+        assert (batch_run.trajectory is not None) == bool(expected)
 
     def test_sweep_frees_snapshots(self):
         cfg = tiny_config(points=20, diagnostics=DiagnosticsFlags(shell_removal=True),
                           sweep={"n": [2, 3]})
         result = sweep(cfg, jobs=1)
-        assert all(p.snapshots == {} for p in result.points)
+        assert all(p.trajectory is None for p in result.points)
         assert all("shell_removed_coherence" in p.extras for p in result.points)
+
+
+class TestTrajectory:
+    @settings(max_examples=10, deadline=None)
+    @given(points=st.integers(2 * CHECKPOINTS + 1, 3 * CHECKPOINTS),
+           dephasing_rate=st.sampled_from([0.0, 0.05]),
+           fractions=st.lists(st.floats(0.0, 1.0), max_size=2))
+    def test_states_equal_a_run_from_zero(self, points, dephasing_rate, fractions):
+        # at output times, mid-interval times, checkpoint times, before the
+        # first checkpoint and at the end, against a run of its own from
+        # t = 0 to that time alone
+        cfg = replace(dephased_config(dephasing_rate),
+                      schedule=ScheduleSpec(tau_max=0.6, points=points))
+        run = run_point(cfg)
+        taus, every = run.taus, -(-points // CHECKPOINTS)
+        first = every - 1                       # the output of the first checkpoint
+        samples = [taus[0], taus[1], 0.5 * (taus[0] + taus[1]), taus[first],
+                   taus[first + 1], 0.5 * (taus[first] + taus[first + 1]),
+                   taus[2 * every - 1], taus[-2], taus[-1],
+                   *(f * taus[-1] for f in fractions)]
+        for tau in samples:
+            ref, = oscillator_states(cfg, [tau])
+            assert np.array_equal(state_array(run.trajectory(tau)), state_array(ref)), tau
 
 
 def pumped_config(**kw):
@@ -531,6 +551,13 @@ class TestRobustnessSuite:
             robustness_suite(self.BASE, jobs=jobs, output_dir=str(tmp_path / f"jobs{jobs}"))
         assert (tmp_path / "jobs1" / "robustness.json").read_bytes() == \
             (tmp_path / "jobs2" / "robustness.json").read_bytes()
+
+    def test_switch_schedule_rejected_before_any_run(self, monkeypatch):
+        calls = count_runs(monkeypatch)
+        with pytest.raises(ConfigError, match="continuous schedule"):
+            robustness_suite(replace(self.BASE, schedule=ScheduleSpec(
+                type="switch", segments=(SwitchSegment(1, 0.5),))))
+        assert calls == []
 
     def test_every_run_is_in_the_batch(self, monkeypatch):
         # the seven variants and the reference, each run once
