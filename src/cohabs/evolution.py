@@ -2,20 +2,29 @@
 integrator.
 
 Every Hamiltonian is real symmetric (see `models`), so unitary propagation
-goes through a real eigendecomposition, which is exact for arbitrary times
-and amortizes across the hundreds of output points of a sweep.  When H has
-no free or detuning terms, every term raises or lowers the absorber by one
-quantum, so H only couples even to odd absorber levels and its eigenbasis
-comes from the SVD of that half-size coupling block, cheaper than a dense
-`eigh` of H.  Unitary runs take and give `KetEnsemble`s: a mixed input that
-is diagonal in the Fock basis costs one column per nonzero population, never
-a dense density matrix.  The master equation evolves the dense density
-matrix, held as one real matrix, and gives `QuantumState`s.  It is
-integrated by an adaptive Strang splitting: every step composes the exact
-unitary (a phase in the eigenbasis of H) with the exact dissipative
-semigroup of real jump operators diagonal in the storage basis, so every
-step is a CPTP map and the state stays positive at any tolerance.  A run
-keeps a few checkpoints, from which a later call resumes it bit for bit.
+goes through a real decomposition, which is exact for arbitrary times and
+amortizes across the hundreds of output points of a sweep.  Unitary runs
+take and give `KetEnsemble`s, held in the absorber-parity frame (see
+`hilbert`): a mixed input that is diagonal in the Fock basis costs one column
+per nonzero population, never a dense density matrix.
+
+When H has no free or detuning terms, every term raises or lowers the
+absorber by one quantum, so H only couples even to odd absorber levels.
+Such a chiral H is decomposed through the SVD of its half-size coupling
+block, and in the parity frame it generates a real orthogonal map: a real
+input (every Fock-diagonal input, and a coherent input or pump at a real
+amplitude) stays real at every time, and its products, partial traces and
+diagnostics run in real arithmetic.  Any other H (free or detuning terms, an
+absorber of odd dimension) goes through a dense `eigh` and complex phases,
+its kets moved out of the frame and back by exact multiplications by +-i.
+
+The master equation evolves the dense density matrix, in the true frame and
+held as one real matrix, and gives `QuantumState`s.  It is integrated by an
+adaptive Strang splitting: every step composes the exact unitary (a phase in
+the eigenbasis of H) with the exact dissipative semigroup of real jump
+operators diagonal in the storage basis, so every step is a CPTP map and the
+state stays positive at any tolerance.  A run keeps a few checkpoints, from
+which a later call resumes it bit for bit.
 """
 
 from __future__ import annotations
@@ -25,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError, LayoutError, StateError
-from .hilbert import KetEnsemble, QuantumState
-from .models import ABSORBER_LABEL, OSC_LABEL, Hamiltonian
+from .hilbert import ABSORBER_LABEL, KetEnsemble, QuantumState, abs2, parity_frame
+from .models import OSC_LABEL, Hamiltonian
 
 LEAKAGE_LEVELS = 5
 LEAKAGE_WARN = 1e-6
@@ -51,7 +60,7 @@ def top_level_population(state: QuantumState | KetEnsemble) -> float:
     axis = state.layout.axis(OSC_LABEL)
     dims = state.layout.dims
     if isinstance(state, KetEnsemble):
-        probs = (state.kets.real ** 2 + state.kets.imag ** 2).sum(axis=1)
+        probs = abs2(state.kets).sum(axis=1)
     else:
         probs = np.real(np.diagonal(state.data))
     sum_axes = tuple(i for i in range(len(dims)) if i != axis)
@@ -67,32 +76,37 @@ def _product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ np.ascontiguousarray(x, complex).view(float)).view(complex)
 
 
-def _chiral_eigh(hamiltonian: Hamiltonian) -> tuple[np.ndarray, np.ndarray] | None:
-    """E and V of an H that couples even absorber levels only to odd ones, so
-    H = [[0, B], [B^T, 0]] over equal halves; None for any other H.  With
-    B = U diag(s) W^T, H (u, +-w) = +-s (u, +-w): E = [s, -s] (unsorted) and
-    V = [[U, U], [W, -W]] / sqrt 2, its rows back in storage order."""
-    layout, h = hamiltonian.layout, hamiltonian.entries
+def _parity_halves(layout) -> tuple[int, int] | None:
+    """(outer, inner) with the storage index split as (outer, parity, inner),
+    parity that of the absorber level, when the absorber's dimension is even;
+    None otherwise."""
     if ABSORBER_LABEL not in layout.labels or layout.dim(ABSORBER_LABEL) % 2:
         return None
     inner = int(np.prod(layout.dims[layout.axis(ABSORBER_LABEL) + 1:]))
-    outer = layout.total_dim // (2 * inner)
-    blocks = h.reshape(outer, 2, inner, outer, 2, inner)    # index (j, parity, rest)
+    return layout.total_dim // (2 * inner), inner
+
+
+def _chiral_svd(hamiltonian: Hamiltonian, halves: tuple[int, int] | None) -> tuple | None:
+    """The SVD (U, s, W^T) of the coupling block B of an H that couples even
+    absorber levels only to odd ones, H = [[0, B], [B^T, 0]] over the two
+    parity halves (see `_parity_halves`); None for any other H."""
+    if halves is None:
+        return None
+    outer, inner = halves
+    blocks = hamiltonian.entries.reshape(outer, 2, inner, outer, 2, inner)
     if blocks[:, 0, :, :, 0].any() or blocks[:, 1, :, :, 1].any():
         return None
     half = outer * inner
-    u, s, wt = np.linalg.svd(blocks[:, 0, :, :, 1].reshape(half, half))
-    vecs = np.empty((outer, 2, inner, 2, half))             # columns (sign, k)
-    vecs[:, 0, :, 0] = vecs[:, 0, :, 1] = np.sqrt(0.5) * u.reshape(outer, inner, half)
-    vecs[:, 1, :, 0] = np.sqrt(0.5) * wt.T.reshape(outer, inner, half)
-    vecs[:, 1, :, 1] = -vecs[:, 1, :, 0]
-    return np.concatenate([s, -s]), vecs.reshape(2 * half, 2 * half)
+    return np.linalg.svd(blocks[:, 0, :, :, 1].reshape(half, half))
 
 
 @dataclass(frozen=True)
 class EigenExpansion:
-    """A state expanded once in a propagator's eigenbasis, C = V^dag Psi0 for
-    its ket ensemble Psi0; each later time then costs one block product."""
+    """A state expanded once by a propagator, so that each later time costs
+    block products alone: C = V^T Psi0 for its ket ensemble Psi0 in the true
+    frame, or, for a chiral H, the half coefficients (U^T x, W^T y) of its
+    even and odd parity halves (x, y) in the parity frame, stacked and held as
+    real arrays."""
 
     initial: KetEnsemble
     coeffs: np.ndarray
@@ -103,23 +117,60 @@ class EigenExpansion:
 
 
 class HamiltonianPropagator:
-    """Eigendecomposition-backed exact propagator exp(-i H t).
+    """Exact propagator exp(-i H t) of a real symmetric H, from one
+    decomposition that serves every requested time.  Every state is
+    propagated as a ket ensemble (see `KetEnsemble`), in the parity frame.
 
-    One decomposition of the real symmetric H, with real eigenvectors V,
-    serves every requested time.  Every state is propagated as a ket
-    ensemble (see `KetEnsemble`).
+    A chiral H = [[0, B], [B^T, 0]] keeps only the SVD B = U diag(s) W^T.  In
+    the parity frame, exp(-iHt) is the real orthogonal map
+
+        [[U cos(st) U^T, -U sin(st) W^T], [W sin(st) U^T, W cos(st) W^T]],
+
+    so a time costs two real cos/sin row scalings of the half coefficients and
+    two half-size real products, and real kets stay real.  Any other H is
+    diagonalised densely, H = V diag(E) V^T, and its states are moved out of
+    the frame and back around the complex phase.
     """
 
     def __init__(self, hamiltonian: Hamiltonian):
         self.layout = hamiltonian.layout
-        self.eigenvalues, self.eigenvectors = (_chiral_eigh(hamiltonian)
-                                               or np.linalg.eigh(hamiltonian.entries))
+        self._halves = _parity_halves(self.layout)
+        self._svd = _chiral_svd(hamiltonian, self._halves)
+        if self._svd is None:
+            self.eigenvalues, self._vecs = np.linalg.eigh(hamiltonian.entries)
+        else:
+            s = self._svd[1]
+            self.eigenvalues = np.concatenate([s, -s])      # unsorted
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """V of H = V diag(E) V^T, real.  For a chiral H, H (u, +-w) =
+        +-s (u, +-w), so V = [[U, U], [W, -W]] / sqrt 2 with its rows back in
+        storage order, built anew on every access and not kept."""
+        if self._svd is None:
+            return self._vecs
+        u, s, wt = self._svd
+        outer, inner = self._halves
+        half = len(s)
+        vecs = np.empty((outer, 2, inner, 2, half))             # columns (sign, k)
+        vecs[:, 0, :, 0] = vecs[:, 0, :, 1] = np.sqrt(0.5) * u.reshape(outer, inner, half)
+        vecs[:, 1, :, 0] = np.sqrt(0.5) * wt.T.reshape(outer, inner, half)
+        vecs[:, 1, :, 1] = -vecs[:, 1, :, 0]
+        return vecs.reshape(2 * half, 2 * half)
 
     def expand(self, state0: KetEnsemble) -> EigenExpansion:
-        """C = V^dag Psi0, computed once per trajectory."""
+        """The state's expansion (see `EigenExpansion`), computed once per
+        trajectory."""
         if state0.layout != self.layout:
             raise LayoutError("state layout does not match the Hamiltonian")
-        return EigenExpansion(state0, _product(self.eigenvectors.T, state0.kets))
+        if self._svd is None:
+            return EigenExpansion(state0, _product(
+                self._vecs.T, parity_frame(self.layout, state0.kets, inverse=True)))
+        u, s, wt = self._svd
+        # a complex block's real and imaginary parts as interleaved real columns
+        kets = state0.kets.view(float).reshape(self._halves[0], 2, -1)
+        return EigenExpansion(state0, np.stack([u.T @ kets[:, 0].reshape(len(s), -1),
+                                                wt @ kets[:, 1].reshape(len(s), -1)]))
 
     def state_at(self, state0: KetEnsemble | EigenExpansion, t: float) -> KetEnsemble:
         """The state at time t.  Pass an EigenExpansion to reuse one
@@ -130,9 +181,24 @@ class HamiltonianPropagator:
             # exp(-iH 0) is the identity; the eigenbasis round trip would
             # leave round-off in, e.g., the zero number spread of a Fock input
             return initial
-        phase = np.exp(-1j * self.eigenvalues * t)
+        if self._svd is None:
+            phase = np.exp(-1j * self.eigenvalues * t)
+            return KetEnsemble(self.layout, parity_frame(
+                self.layout, _product(self._vecs, phase[:, None] * expansion.coeffs)))
+        u, s, wt = self._svd
+        outer, inner = self._halves
+        cos, sin = np.cos(s * t)[:, None], np.sin(s * t)[:, None]
+        x, y = expansion.coeffs
+        even = cos * x
+        even -= sin * y
+        odd = sin * x
+        odd += cos * y
+        # both half products land in one array, in storage order
+        out = np.empty((outer, 2, inner, x.shape[1]))
+        np.matmul(u.reshape(outer, inner, -1), even, out=out[:, 0])
+        np.matmul(wt.T.reshape(outer, inner, -1), odd, out=out[:, 1])
         return KetEnsemble(self.layout,
-                           _product(self.eigenvectors, phase[:, None] * expansion.coeffs))
+                           out.reshape(len(self.eigenvalues), -1).view(initial.kets.dtype))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,20 @@ density matrix of a dephased (master-equation) run.  Operators live in
 `models`, which builds every Hamiltonian real symmetric by construction.
 States are immutable after construction (their arrays are marked
 read-only), so they can be shared freely between worker threads.
+
+The absorber-parity frame.  A `KetEnsemble` on a layout with an absorber
+factor stores its kets in this frame: each component on an odd absorber
+level is kept multiplied by i (`parity_frame`).  Every absorption term moves
+the absorber by one quantum, so an interaction-only H anticommutes with the
+absorber parity, and exp(-iHt) is a real orthogonal map in this frame (see
+`evolution`).  Every input starts with the absorber in its (even) ground
+state, so real inputs, such as those diagonal in the Fock basis, stay real
+for as long as they evolve under such an H.  `density()` and `true_kets()`
+convert back to the true frame.  A partial trace only regroups the kets:
+tracing the absorber out leaves the frame's phases on whole columns, where
+they drop out of Phi Phi^dag, and keeping it keeps the frame, which the
+reduced ensemble's `density()` undoes (see `partial_trace`).  A
+`QuantumState` is always in the true frame.
 """
 
 from __future__ import annotations
@@ -28,12 +42,18 @@ HERMITIAN_ATOL = 1e-12
 NORM_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-9
+ABSORBER_LABEL = "absorber"
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=complex)
+def _frozen(a: np.ndarray, dtype=complex) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+def abs2(x: np.ndarray) -> np.ndarray:
+    """|x|^2 elementwise, real; a real x is squared without an imaginary part."""
+    return x.real ** 2 + x.imag ** 2 if np.iscomplexobj(x) else x * x
 
 
 @dataclass(frozen=True)
@@ -77,6 +97,21 @@ class SpaceLayout:
             if lab == label:
                 return i
         raise LayoutError(f"unknown factor label {label!r}; have {self.labels}")
+
+
+def parity_frame(layout: SpaceLayout, kets: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """The (D, K) kets on `layout` moved into the absorber-parity frame: a
+    complex copy with every component on an odd absorber level multiplied
+    by i, or by -i with `inverse`, which moves them back to the true frame.
+    Both multiplications are exact.  A layout without an absorber has the
+    identity frame, and its kets are returned as they are."""
+    if ABSORBER_LABEL not in layout.labels:
+        return kets
+    axis = layout.axis(ABSORBER_LABEL)
+    out = np.array(kets, complex)
+    levels = out.reshape(int(np.prod(layout.dims[:axis])), layout.dims[axis], -1)
+    levels[:, 1::2] *= -1j if inverse else 1j
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,15 +160,17 @@ class KetEnsemble:
     Every input state and every state of a unitary run is one: a pure state
     is K = 1, a state diagonal in the product basis has one column per
     nonzero population.  Unitary propagation acts on the K columns, and a
-    partial trace only regroups them (see `partial_trace`).  The trace,
-    ||kets||_F^2, is validated on construction.
+    partial trace only regroups them (see `partial_trace`).  The kets are
+    stored in the absorber-parity frame (see the module docstring); real
+    kets stay real (float64).  The trace, ||kets||_F^2, is validated on
+    construction.
     """
 
     layout: SpaceLayout
     kets: np.ndarray
 
     def __post_init__(self):
-        kets = _frozen(self.kets)
+        kets = _frozen(self.kets, float if np.isrealobj(self.kets) else complex)
         tr = np.vdot(kets, kets).real
         if abs(tr - 1.0) > NORM_ATOL:
             raise StateError(f"ket ensemble trace {tr!r} deviates from 1")
@@ -143,8 +180,14 @@ class KetEnsemble:
     def is_vector(self) -> bool:
         return self.kets.shape[1] == 1
 
+    def true_kets(self) -> np.ndarray:
+        """The kets in the true frame, rho = K K^dag."""
+        return parity_frame(self.layout, self.kets, inverse=True)
+
     def density(self) -> np.ndarray:
-        rho = self.kets @ self.kets.conj().T
+        """The density matrix, in the true frame."""
+        kets = self.true_kets()
+        rho = kets @ kets.conj().T
         return 0.5 * (rho + rho.conj().T)
 
 
@@ -153,14 +196,20 @@ def partial_trace(state: QuantumState | KetEnsemble, keep: str):
 
     A KetEnsemble gives the ensemble Phi of the kept factor, rho = Phi Phi^dag:
     its kets with the kept axis moved first, one column per index of the
-    other factors.  A QuantumState gives the contracted density matrix.
+    other factors.  Kept, the absorber keeps its parity frame.  Traced out,
+    it leaves the frame's phases on whole columns of Phi, where they drop out
+    of Phi Phi^dag: real kets keep them and stay real, and complex kets are
+    read in the true frame, so that their reduced states hold the numbers of
+    a true-frame propagation bit for bit.  A QuantumState gives the
+    contracted density matrix.
     """
     axis = state.layout.axis(keep)
     dims = state.layout.dims
     dk = dims[axis]
     kept = SpaceLayout.single(keep, dk)
     if isinstance(state, KetEnsemble):
-        kets = state.kets.reshape(dims + (-1,))
+        kets = (state.kets if keep == ABSORBER_LABEL or np.isrealobj(state.kets)
+                else state.true_kets()).reshape(dims + (-1,))
         return KetEnsemble(kept, np.moveaxis(kets, axis, 0).reshape(dk, -1))
     nfac = len(dims)
     rho_t = state.data.reshape(dims + dims)

@@ -20,9 +20,8 @@ import math
 import numpy as np
 
 from .errors import ConfigError, LayoutError, TruncationError
-from .hilbert import SpaceLayout
+from .hilbert import ABSORBER_LABEL, SpaceLayout
 
-ABSORBER_LABEL = "absorber"
 OSC_LABEL = "osc"
 PUMP_LABEL = "pump"
 

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ShellRemovalError, StateError
-from .hilbert import KetEnsemble, QuantumState
+from .hilbert import KetEnsemble, QuantumState, abs2
 
 EIGENVALUE_FLOOR = 1e-14
 COHERENCE_FLOOR = -1e-10
@@ -30,7 +30,7 @@ WIGNER_GATHER_BYTES = 1 << 20   # bound on each gathered block of wavefunction v
 def _as_density(rho) -> np.ndarray:
     if isinstance(rho, (QuantumState, KetEnsemble)):
         return rho.density()
-    return np.asarray(rho, complex)
+    return np.asarray(rho, complex if np.iscomplexobj(rho) else float)
 
 
 def _spectrum(rho) -> np.ndarray:
@@ -50,7 +50,7 @@ def _spectrum(rho) -> np.ndarray:
 def _populations(rho) -> np.ndarray:
     """Fock populations: the main diagonal of rho."""
     if isinstance(rho, KetEnsemble):
-        return (rho.kets.real ** 2 + rho.kets.imag ** 2).sum(axis=1)
+        return abs2(rho.kets).sum(axis=1)
     return np.real(np.diagonal(_as_density(rho)))
 
 
@@ -144,7 +144,7 @@ def remove_gaussian_shell(rho, max_rounds: int = 8) -> np.ndarray:
     """
     rho = _as_density(rho).copy()
     dim = rho.shape[0]
-    b = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+    b = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
     def residuals(r):
         means, cov = quadrature_stats(r)
@@ -157,15 +157,17 @@ def remove_gaussian_shell(rho, max_rounds: int = 8) -> np.ndarray:
         res = residuals(rho)
         if max(res.values()) < SHELL_RESIDUAL_ATOL:
             return rho
-        # displacement D(-<b>)
+        # displacement D(-<b>); a real shift, and no rotation, keep a real state real
         amp = -_ladder_moments(rho)[1]
-        d = scipy.linalg.expm(amp * b.conj().T - np.conj(amp) * b)
+        amp = amp if amp.imag else amp.real
+        d = scipy.linalg.expm(amp * b.T - np.conj(amp) * b)
         rho = d @ rho @ d.conj().T
         # rotation zeroing the covariance off-diagonal
         _, cov = quadrature_stats(rho)
         theta = 0.5 * math.atan2(2.0 * cov[0, 1], cov[0, 0] - cov[1, 1])
-        u = np.exp(-1j * theta * np.arange(dim))
-        rho = (u[:, None] * rho) * u.conj()[None, :]
+        if theta:
+            u = np.exp(-1j * theta * np.arange(dim))
+            rho = (u[:, None] * rho) * u.conj()[None, :]
         # squeezing equalizing the diagonal
         _, cov = quadrature_stats(rho)
         xi = 0.25 * math.log(cov[0, 0] / cov[1, 1])
@@ -250,7 +252,9 @@ def _wavefunctions(q: np.ndarray, kets: np.ndarray) -> np.ndarray:
     for n in range(kets.shape[0] - 1):
         phi[n + 1] = math.sqrt(2.0 / (n + 1)) * q * phi[n] - math.sqrt(n / (n + 1)) * prev
         prev = phi[n]
-    return phi.T @ kets.real + 1j * (phi.T @ kets.imag)
+    if np.iscomplexobj(kets):
+        return phi.T @ kets.real + 1j * (phi.T @ kets.imag)
+    return phi.T @ kets
 
 
 def _quadrature(kets: np.ndarray, weights: np.ndarray, x0: float, h: float,
@@ -282,7 +286,7 @@ def _quadrature(kets: np.ndarray, weights: np.ndarray, x0: float, h: float,
     for i in range(0, nx, chunk):
         at = centers[i:i + chunk, None]
         f = np.einsum("cjk,cjk->cj", weighted[at - steps], conj[at + steps])
-        out[i:i + chunk] = f.real @ cos - f.imag @ sin
+        out[i:i + chunk] = f.real @ cos - f.imag @ sin if np.iscomplexobj(f) else f @ cos
     return out
 
 

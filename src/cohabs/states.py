@@ -79,14 +79,16 @@ def poisson_populations(nbar: float, dim: int) -> np.ndarray:
 
 
 def coherent_amplitudes(beta: complex, dim: int) -> np.ndarray:
-    """Coherent-state Fock amplitudes, renormalized after truncation."""
+    """Coherent-state Fock amplitudes, renormalized after truncation; real for
+    a real beta."""
     if beta == 0:
-        amp = np.zeros(dim, complex)
+        amp = np.zeros(dim)
         amp[0] = 1.0
         return amp
     m = np.arange(dim)
     log_mag = -0.5 * abs(beta) ** 2 + m * np.log(abs(beta)) - 0.5 * gammaln(m + 1.0)
-    amp = np.exp(log_mag) * np.exp(1j * m * np.angle(beta))
+    phase = np.sign(beta.real) ** m if beta.imag == 0 else np.exp(1j * m * np.angle(beta))
+    amp = np.exp(log_mag) * phase
     tail = 1.0 - float(np.vdot(amp, amp).real)
     if tail > TAIL_MASS_ATOL:
         raise TruncationError(
@@ -98,7 +100,7 @@ def coherent_amplitudes(beta: complex, dim: int) -> np.ndarray:
 def _diagonal_kets(pops: np.ndarray) -> np.ndarray:
     """The columns sqrt(p_m)|m> of a Fock-diagonal state, one per nonzero p_m."""
     nonzero = np.flatnonzero(pops)
-    kets = np.zeros((len(pops), len(nonzero)), complex)
+    kets = np.zeros((len(pops), len(nonzero)))
     kets[nonzero, np.arange(len(nonzero))] = np.sqrt(pops[nonzero])
     return kets
 
@@ -138,6 +140,9 @@ def make_state(spec: InitialStateSpec, layout: SpaceLayout,
 
     The pump factor, when present in the layout, is filled with a coherent
     state of the given amplitude (vacuum when the amplitude is absent or 0).
+    The absorber's ground level is even, so the kets are the same in the
+    parity frame as in the true one (see `hilbert`), and real unless the
+    coherent input or the pump has a complex amplitude.
     """
     parts = []
     for lab, d in layout.factors:
@@ -146,6 +151,6 @@ def make_state(spec: InitialStateSpec, layout: SpaceLayout,
         elif lab == PUMP_LABEL:
             parts.append(coherent_amplitudes(pump_amplitude or 0.0, d)[:, None])
         else:
-            parts.append(np.identity(d, complex)[:, :1])     # ground state
+            parts.append(np.identity(d)[:, :1])     # ground state
     return KetEnsemble(layout, reduce(np.kron, parts))
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from cohabs import evolution, experiments
 from cohabs.errors import IntegrationError, StateError
 from cohabs.experiments import ScenarioConfig, ScheduleSpec, SwitchSegment, run_point
-from cohabs.hilbert import KetEnsemble, QuantumState, SpaceLayout, partial_trace
+from cohabs.hilbert import KetEnsemble, QuantumState, SpaceLayout, parity_frame, partial_trace
 from cohabs.models import (Hamiltonian, Interaction, ModelSpec, build_hamiltonian,
                            dephasing_dissipator)
 from cohabs.observables import coherence
@@ -79,9 +79,9 @@ def switch_states(spec, segments, n):
 
 
 def vec(state):
-    """The one ket of a pure ensemble."""
+    """The one ket of a pure ensemble, in the true frame."""
     assert state.is_vector
-    return state.kets[:, 0]
+    return state.true_kets()[:, 0]
 
 
 class TestUnitaryEvolve:
@@ -175,7 +175,8 @@ class TestHamiltonianPropagator:
         assert np.max(np.abs((v * e) @ v.T - h.entries)) < 1e-12
         assert np.max(np.abs(v.T @ v - np.eye(len(e)))) < 1e-12
         kets = random_kets(np.random.default_rng(seed), len(e), 3)
-        got = prop.state_at(KetEnsemble(spec.layout(), kets), t).kets
+        state0 = KetEnsemble(spec.layout(), parity_frame(spec.layout(), kets))
+        got = prop.state_at(state0, t).true_kets()
         e_ref, v_ref = np.linalg.eigh(h.entries)
         want = v_ref @ (np.exp(-1j * e_ref * t)[:, None] * (v_ref.T @ kets))
         assert np.max(np.abs(got - want)) < 1e-10
@@ -214,6 +215,96 @@ class TestHamiltonianPropagator:
             assert np.array_equal(prop.state_at(state0, 0.0).kets, state0.kets)
 
 
+@st.composite
+def parity_frame_runs(draw):
+    """A small chiral model (a qubit or an even oscillator absorber, with or
+    without a pump at a real or a complex amplitude), an input that is real
+    and diagonal in the Fock basis or coherent at a complex beta, and the
+    durations of four pieces, the dephased last one short."""
+    coupling = st.floats(-1.0, 1.0)
+    kw = dict(interactions=(Interaction(1, draw(coupling)), Interaction(2, draw(coupling))),
+              cutoff=draw(st.integers(6, 7)))
+    kind = draw(st.sampled_from(["qubit", "pumped", "oscillator"]))
+    if kind == "pumped":
+        kw.update(pump=draw(st.sampled_from([0j, 0.4 + 0j, 0.3 - 0.2j])), pump_dim=6)
+    elif kind == "oscillator":
+        kw.update(absorber="oscillator", absorber_dim=draw(st.sampled_from([2, 4])))
+    n = draw(st.integers(0, kw["cutoff"] - 1))
+    initial = draw(st.sampled_from([
+        InitialStateSpec("fock", n=n), InitialStateSpec("admixture", n=n, p=0.3),
+        InitialStateSpec("thermal", nbar=0.1), InitialStateSpec("coherent", beta=0.3 + 0.4j)]))
+    times = [draw(st.floats(0.0, 3.0)) for _ in range(3)] + [draw(st.floats(0.0, 0.5))]
+    return ModelSpec(**kw), initial, times
+
+
+class TestParityFrame:
+    """Kets are held in the absorber-parity frame, where a chiral model's
+    evolution is real; every true-frame density and reduced state agrees with
+    exp(-iHt) from scipy.linalg.expm."""
+
+    @staticmethod
+    def agree(state, rho):
+        """The state's true-frame density, and its reduced oscillator and
+        absorber states, against the dense reference rho, to 1e-10."""
+        layout = state.layout
+        assert np.max(np.abs(state.density() - rho)) < 1e-10
+        for keep in ("osc", "absorber"):
+            want = partial_trace(QuantumState(layout, rho), keep).data
+            got = partial_trace(state, keep)
+            assert np.max(np.abs(got.density() - want)) < 1e-10
+
+    @given(parity_frame_runs())
+    def test_switch_pieces_match_expm(self, run):
+        # two chiral pieces (the model, then its order-2 term alone, as in a
+        # switch schedule), then a non-chiral piece (free terms) and a dephased
+        # piece, each from the second piece's end state
+        spec, initial, (t1, t2, t3, t4) = run
+        layout = spec.layout()
+        state0 = make_state(initial, layout, pump_amplitude=spec.pump)
+        real = initial.kind != "coherent" and np.imag(spec.pump or 0.0) == 0
+        assert np.isrealobj(state0.kets) == real
+        # the absorber starts in its (even) ground level: the frame is the identity
+        rho0 = state0.kets @ state0.kets.conj().T
+
+        h1 = build_hamiltonian(spec)
+        prop = HamiltonianPropagator(h1)
+        state1 = prop.state_at(prop.expand(state0), t1)
+        assert np.isrealobj(state1.kets) == real
+        u1 = scipy.linalg.expm(-1j * t1 * h1.entries)
+        rho1 = u1 @ rho0 @ u1.conj().T
+        self.agree(state1, rho1)
+
+        h2 = build_hamiltonian(replace(spec, interactions=spec.interactions[1:]))
+        state2 = HamiltonianPropagator(h2).state_at(state1, t2)
+        assert np.isrealobj(state2.kets) == real
+        u2 = scipy.linalg.expm(-1j * t2 * h2.entries)
+        rho2 = u2 @ rho1 @ u2.conj().T
+        self.agree(state2, rho2)
+
+        h3 = build_hamiltonian(replace(spec, omega=0.3, Omega=0.2))
+        state3 = HamiltonianPropagator(h3).state_at(state2, t3)
+        u3 = scipy.linalg.expm(-1j * t3 * h3.entries)
+        self.agree(state3, u3 @ rho2 @ u3.conj().T)
+
+        # the integrator's error is its tolerance (see TestLindblad), so the
+        # dephased piece is checked against its own run from the expm state
+        jumps = dephasing_dissipator(0.3, spec)
+        state4, = lindblad_evolve(h1, jumps, state2, [t4], tol=1e-7).states
+        want, = lindblad_evolve(h1, jumps, QuantumState(layout, rho2), [t4], tol=1e-7).states
+        self.agree(state4, want.data)
+
+    def test_conversions_are_exact(self, rng):
+        layout = two_body(cutoff=5, absorber="oscillator", absorber_dim=4).layout()
+        kets = random_kets(rng, layout.total_dim, 3)
+        framed = parity_frame(layout, kets)
+        assert np.array_equal(KetEnsemble(layout, framed).true_kets(), kets)
+        got, want = framed.reshape(4, 5, 3), kets.reshape(4, 5, 3)
+        assert np.array_equal(got[::2], want[::2])
+        # i (a + ib) = -b + ia on the odd absorber levels
+        assert np.array_equal(got[1::2].real, -want[1::2].imag)
+        assert np.array_equal(got[1::2].imag, want[1::2].real)
+
+
 class TestSwitchCoefficients:
     def test_initial_time(self):
         alpha, beta, gamma, delta = oracles.switch_amplitudes(5, 1.0, 0.1, 0.0)
@@ -244,7 +335,7 @@ class TestSwitchCoefficients:
         s = two_body(cutoff=cutoff, g1=g1, g2=g2)
         states = switch_states(s, [(1, t), (2, t)], n)
         ket = oracles.switch_ket(n, g1, g2, t, cutoff)
-        assert np.max(np.abs(ket - states[-1].kets)) < 1e-9
+        assert np.max(np.abs(ket - states[-1].true_kets())) < 1e-9
 
     def test_needs_two_quanta(self):
         with pytest.raises(ValueError):
