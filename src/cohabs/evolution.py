@@ -18,13 +18,14 @@ diagnostics run in real arithmetic.  Any other H (free or detuning terms, an
 absorber of odd dimension) goes through a dense `eigh` and complex phases,
 its kets moved out of the frame and back by exact multiplications by +-i.
 
-The master equation evolves the dense density matrix, in the true frame and
-held as one real matrix, and gives `QuantumState`s.  It is integrated by an
-adaptive Strang splitting: every step composes the exact unitary (a phase in
-the eigenbasis of H) with the exact dissipative semigroup of real jump
-operators diagonal in the storage basis, so every step is a CPTP map and the
-state stays positive at any tolerance.  A run keeps a few checkpoints, from
-which a later call resumes it bit for bit.
+The master equation evolves the dense density matrix in the storage basis,
+held as one real matrix (in the parity frame for a chiral H, where the
+unitary part is the same real orthogonal map), and gives `QuantumState`s in
+the true frame.  It is integrated by an adaptive Strang splitting: every step
+composes the exact dissipative semigroup of real jump operators diagonal in
+the storage basis (an elementwise factor) with the exact unitary, so every
+step is a CPTP map and the state stays positive at any tolerance.  A run
+keeps a few checkpoints, from which a later call resumes it bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError, LayoutError, StateError
-from .hilbert import ABSORBER_LABEL, KetEnsemble, QuantumState, abs2, parity_frame
+from .hilbert import ABSORBER_LABEL, KetEnsemble, QuantumState, abs2, check_positive, parity_frame
 from .models import OSC_LABEL, Hamiltonian
 
 LEAKAGE_LEVELS = 5
@@ -50,8 +51,8 @@ class EvolutionResult:
     states: tuple[QuantumState, ...]
     step: _StrangStep
     # (t_out, t, sigma, h), kept as the output state at t_out was produced: the
-    # accepted state sigma at time t <= t_out, in the eigenbasis of H, and the
-    # trial step h that follows
+    # accepted state sigma at time t <= t_out, encoded in the step's frame, and
+    # the trial step h that follows
     checkpoints: tuple[tuple, ...]
 
 
@@ -136,27 +137,26 @@ class HamiltonianPropagator:
         self.layout = hamiltonian.layout
         self._halves = _parity_halves(self.layout)
         self._svd = _chiral_svd(hamiltonian, self._halves)
+        self.eigenvectors = None    # V of H = V diag(E) V^T, real; None for a chiral H
         if self._svd is None:
-            self.eigenvalues, self._vecs = np.linalg.eigh(hamiltonian.entries)
+            self.eigenvalues, self.eigenvectors = np.linalg.eigh(hamiltonian.entries)
         else:
             s = self._svd[1]
             self.eigenvalues = np.concatenate([s, -s])      # unsorted
 
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        """V of H = V diag(E) V^T, real.  For a chiral H, H (u, +-w) =
-        +-s (u, +-w), so V = [[U, U], [W, -W]] / sqrt 2 with its rows back in
-        storage order, built anew on every access and not kept."""
-        if self._svd is None:
-            return self._vecs
+    def orthogonal_map(self, t: float) -> np.ndarray:
+        """exp(-iHt) of a chiral H in the parity frame: the real orthogonal
+        (D, D) map of the class docstring, in storage order, from three
+        half-size products."""
         u, s, wt = self._svd
         outer, inner = self._halves
-        half = len(s)
-        vecs = np.empty((outer, 2, inner, 2, half))             # columns (sign, k)
-        vecs[:, 0, :, 0] = vecs[:, 0, :, 1] = np.sqrt(0.5) * u.reshape(outer, inner, half)
-        vecs[:, 1, :, 0] = np.sqrt(0.5) * wt.T.reshape(outer, inner, half)
-        vecs[:, 1, :, 1] = -vecs[:, 1, :, 0]
-        return vecs.reshape(2 * half, 2 * half)
+        cos, sin = np.cos(s * t), np.sin(s * t)
+        upper = -(u * sin) @ wt                                 # -U sin(st) W^T
+        out = np.empty((outer, 2, inner) * 2)
+        for (a, b), block in (((0, 0), (u * cos) @ u.T), ((0, 1), upper),
+                              ((1, 0), -upper.T), ((1, 1), (wt.T * cos) @ wt)):
+            out[:, a, :, :, b] = block.reshape(outer, inner, outer, inner)
+        return out.reshape(2 * len(s), -1)
 
     def expand(self, state0: KetEnsemble) -> EigenExpansion:
         """The state's expansion (see `EigenExpansion`), computed once per
@@ -165,7 +165,7 @@ class HamiltonianPropagator:
             raise LayoutError("state layout does not match the Hamiltonian")
         if self._svd is None:
             return EigenExpansion(state0, _product(
-                self._vecs.T, parity_frame(self.layout, state0.kets, inverse=True)))
+                self.eigenvectors.T, parity_frame(self.layout, state0.kets, inverse=True)))
         u, s, wt = self._svd
         # a complex block's real and imaginary parts as interleaved real columns
         kets = state0.kets.view(float).reshape(self._halves[0], 2, -1)
@@ -184,7 +184,7 @@ class HamiltonianPropagator:
         if self._svd is None:
             phase = np.exp(-1j * self.eigenvalues * t)
             return KetEnsemble(self.layout, parity_frame(
-                self.layout, _product(self._vecs, phase[:, None] * expansion.coeffs)))
+                self.layout, _product(self.eigenvectors, phase[:, None] * expansion.coeffs)))
         u, s, wt = self._svd
         outer, inner = self._halves
         cos, sin = np.cos(s * t)[:, None], np.sin(s * t)[:, None]
@@ -204,57 +204,68 @@ class HamiltonianPropagator:
 # ---------------------------------------------------------------------------
 # Lindblad master equation
 
-def _decode(m: np.ndarray) -> np.ndarray:
-    """rho = S + iA from its real encoding M = S + A; exactly Hermitian."""
-    return 0.5 * (m + m.T) + 0.5j * (m - m.T)
-
-
-def _congruence(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """a rho a^T on encodings, for a real `a`: it keeps S and A apart, so two
-    real products."""
-    return a @ m @ a.T
-
-
-def _hadamard(z: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Z o rho, elementwise, for a complex Hermitian Z, on encodings."""
-    return z.real * m + z.imag * m.T
-
-
 class _StrangStep:
-    """One Strang step U(h/2) D(h) U(h/2) of the master equation
+    """One Strang step D(h/2) U(h) D(h/2) of the master equation
 
         drho/dt = -i[H, rho] + sum_L (L rho L^dag - {L^dag L, rho}/2),
 
-    for the real symmetric H = V diag(E) V^T and real jump operators
-    L = diag(d) diagonal in the storage basis (number dephasing is, see
-    `models.dephasing_dissipator`).  It maps sigma, held in the eigenbasis of
-    H, to P o V^T (exp(hK) o V (P o sigma) V^T) V, with o the elementwise
-    product.  U(h/2) is the phase P_ij = p_i p_j^*, where p = exp(-ihE/2);
-    D(h) is the exact dissipative semigroup, where the real K_ij =
-    sum_L (d_i d_j - (d_i^2 + d_j^2)/2), -(gamma/2)(n_i - n_j)^2 for number
-    dephasing.  Each factor is CPTP, so every step is one too.
+    for the real symmetric H and real jump operators L = diag(d) diagonal in
+    the storage basis (number dephasing is, see `models.dephasing_dissipator`):
+    rho -> E(h/2) o (U(h) (E(h/2) o rho) U(h)^dag), with o the elementwise
+    product, U(h) = exp(-iHh) and the exact dissipative semigroup
+    E(h/2) = exp(hK/2), K_ij = sum_L (d_i d_j - (d_i^2 + d_j^2)/2), that is
+    -(gamma/2)(n_i - n_j)^2 for number dephasing.  Each factor is CPTP, so
+    every step is one too.  For a chiral H, rho is held in the parity frame,
+    F rho F^dag, which E o commutes with and where U(h) is the real map
+    `HamiltonianPropagator.orthogonal_map`.  Any other H keeps the true frame
+    and acts as V (P o (V^T rho V)) V^T, with P_ij = p_i p_j^*, p = exp(-ihE).
 
     rho = S + iA (S symmetric, A antisymmetric) is held as the real M = S + A.
-    The real V keeps S and A apart, so a basis change is V M V^T (two real
-    products); the real exp(hK) multiplies M directly, the phase P acts as
+    A real map O keeps S and A apart, so O rho O^T is O M O^T (two real
+    products); the real E multiplies M directly, the phase P acts as
     Re P o M + Im P o M^T, and ||M||_F = ||rho||_F.
     """
 
     def __init__(self, hamiltonian: Hamiltonian, jumps: list[np.ndarray]):
-        prop = HamiltonianPropagator(hamiltonian)
-        self.energies, self.vecs = prop.eigenvalues, prop.eigenvectors
-        self.rates = np.zeros((len(self.energies),) * 2)
+        self.prop = HamiltonianPropagator(hamiltonian)
+        self.chiral = self.prop.eigenvectors is None
+        self.rates = np.zeros((len(self.prop.eigenvalues),) * 2)
         for d in jumps:
             w = d * d
             self.rates += np.outer(d, d) - 0.5 * (w[:, None] + w[None, :])
 
-    def __call__(self, sigma: np.ndarray, h: float) -> np.ndarray:
+    def frame(self, rho: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """rho in the step's frame, F rho F^dag (exact), or back with `inverse`."""
+        if not self.chiral:
+            return rho
+        rows = parity_frame(self.prop.layout, rho, inverse)
+        return parity_frame(self.prop.layout, rows.T, not inverse).T
+
+    def unitary(self, h: float):
+        """The map M -> U(h) rho U(h)^dag on encodings."""
+        if self.chiral:
+            o = self.prop.orthogonal_map(h)
+            return lambda m: o @ m @ o.T
+        v, p = self.prop.eigenvectors, np.exp(-1j * h * self.prop.eigenvalues)
+        phase = np.outer(p, p.conj())
+        def rotate(m):
+            sigma = v.T @ m @ v                                 # in the eigenbasis of H
+            return v @ (phase.real * sigma + phase.imag * sigma.T) @ v.T
+        return rotate
+
+    def __call__(self, m: np.ndarray, h: float) -> np.ndarray:
         if h == 0.0:
-            return sigma
-        p = np.exp(-0.5j * h * self.energies)
-        half = np.outer(p, p.conj())
-        rho = np.exp(h * self.rates) * _congruence(self.vecs, _hadamard(half, sigma))
-        return _hadamard(half, _congruence(self.vecs.T, rho))
+            return m
+        e = np.exp(0.5 * h * self.rates)
+        return e * self.unitary(h)(e * m)
+
+    def attempt(self, m: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """(y1, y2): one step of h and two of h/2 from m, y2 with its two inner
+        dissipative quarter steps merged, E(h/4) U(h/2) E(h/2) U(h/2) E(h/4)."""
+        quarter = np.exp(0.25 * h * self.rates)
+        half = quarter * quarter
+        u_half = self.unitary(0.5 * h)
+        return half * self.unitary(h)(half * m), quarter * u_half(half * u_half(quarter * m))
 
 
 def lindblad_evolve(hamiltonian: Hamiltonian, jumps, rho0: QuantumState | KetEnsemble,
@@ -291,10 +302,13 @@ def lindblad_evolve(hamiltonian: Hamiltonian, jumps, rho0: QuantumState | KetEns
     if len(back):
         raise StateError(f"output times must be strictly increasing: {times[back[0] + 1]} "
                          f"follows {times[back[0]]}")
-    rho_start = rho0.density()
-    m_start = rho_start.real + rho_start.imag
     step = _StrangStep(hamiltonian, list(jumps)) if resume is None else resume.step
-    t, sigma, h = 0.0, _congruence(step.vecs.T, m_start), INITIAL_STEP
+    # the input in the step's frame; a chiral H keeps a real start (real kets
+    # in the parity frame, as every Fock input) real, its encoding symmetric
+    rho_start = step.frame(rho0.density())
+    real = step.chiral and not np.imag(rho_start).any()
+    m_start = rho_start.real + rho_start.imag
+    t, sigma, h = 0.0, m_start, INITIAL_STEP
     for t_out, *kept in () if resume is None else resume.checkpoints:
         if len(times) and t_out <= times[0]:
             t, sigma, h = kept
@@ -303,8 +317,7 @@ def lindblad_evolve(hamiltonian: Hamiltonian, jumps, rho0: QuantumState | KetEns
 
     for i, t_out in enumerate(times):
         while t + h <= t_out:
-            y1 = step(sigma, h)
-            y2 = step(step(sigma, 0.5 * h), 0.5 * h)
+            y1, y2 = step.attempt(sigma, h)
             err = np.linalg.norm(y2 - y1) / 3.0
             if err <= tol:
                 sigma = y2
@@ -315,13 +328,14 @@ def lindblad_evolve(hamiltonian: Hamiltonian, jumps, rho0: QuantumState | KetEns
                 raise IntegrationError("step size underflow", time_reached=t)
         if (i + 1) % every == 0:
             checkpoints.append((float(t_out), t, sigma, h))
-        # t = 0 is the identity map; the eigenbasis round trip would leave round-off in
-        m = m_start if t_out == 0.0 else _congruence(step.vecs, step(sigma, float(t_out) - t))
-        st = QuantumState(rho0.layout, _decode(m), trace_atol=1e-8)
+        m = step(sigma, float(t_out) - t)
+        # rho = S + iA, exactly Hermitian, and positive iff it is in the true frame
+        rho = 0.5 * (m + m.T) if real else 0.5 * (m + m.T) + 0.5j * (m - m.T)
         try:
-            st.validate_positive(atol=1e-7)
+            check_positive(rho, atol=1e-7)
         except StateError as exc:
             raise StateError(f"{exc} (output time: {t_out:.6g})") from exc
+        st = QuantumState(rho0.layout, step.frame(rho, inverse=True), trace_atol=1e-8)
         if observer is not None:
             observer(st)
         else:

@@ -108,10 +108,18 @@ def parity_frame(layout: SpaceLayout, kets: np.ndarray, inverse: bool = False) -
     if ABSORBER_LABEL not in layout.labels:
         return kets
     axis = layout.axis(ABSORBER_LABEL)
-    out = np.array(kets, complex)
+    out = np.array(kets, complex, order="C")   # reshaped in place below
     levels = out.reshape(int(np.prod(layout.dims[:axis])), layout.dims[axis], -1)
     levels[:, 1::2] *= -1j if inverse else 1j
     return out
+
+
+def check_positive(rho: np.ndarray, atol: float = PSD_ATOL) -> float:
+    """The smallest eigenvalue of the Hermitian `rho`; StateError below -atol."""
+    lam = float(np.linalg.eigvalsh(rho)[0])
+    if lam < -atol:
+        raise StateError(f"density matrix has eigenvalue {lam:.3e} < -{atol:.1e}")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -120,7 +128,8 @@ class QuantumState:
 
     Cheap invariants (trace / hermiticity) are validated on construction.
     Positivity needs an eigendecomposition and is validated on demand via
-    :meth:`validate_positive`, which integrators call on their output points.
+    :meth:`validate_positive`; the master-equation integrator calls the same
+    `check_positive` on each output point, in its own frame.
     """
 
     layout: SpaceLayout
@@ -146,10 +155,7 @@ class QuantumState:
 
     def validate_positive(self, atol: float = PSD_ATOL) -> float:
         """Check the smallest eigenvalue of the density matrix; returns it."""
-        lam = float(np.linalg.eigvalsh(self.density())[0])
-        if lam < -atol:
-            raise StateError(f"density matrix has eigenvalue {lam:.3e} < -{atol:.1e}")
-        return lam
+        return check_positive(self.density(), atol)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from cohabs import evolution, experiments
 from cohabs.errors import IntegrationError, StateError
@@ -166,20 +166,24 @@ class TestHamiltonianPropagator:
                              - u @ rho0.density() @ u.conj().T)) < 1e-12
 
     @given(chiral_models(), st.integers(0, 2**32 - 1), st.floats(0.0, 5.0))
-    def test_chiral_models_match_dense_eigh(self, spec, seed, t):
+    def test_chiral_models_match_expm(self, spec, seed, t):
         h = build_hamiltonian(spec)
+        layout = spec.layout()
         prop = HamiltonianPropagator(h)
-        e, v = prop.eigenvalues, prop.eigenvectors
+        e = prop.eigenvalues
         half = len(e) // 2
         assert np.array_equal(e[:half], -e[half:])       # taken from the coupling block
-        assert np.max(np.abs((v * e) @ v.T - h.entries)) < 1e-12
-        assert np.max(np.abs(v.T @ v - np.eye(len(e)))) < 1e-12
+        assert prop.eigenvectors is None
+        # exp(-iHt) in the parity frame, F U F^dag, is the real map built from the SVD
+        o = prop.orthogonal_map(t)
+        assert o.dtype == np.float64
+        assert np.max(np.abs(o.T @ o - np.eye(len(e)))) < 1e-12
+        u = scipy.linalg.expm(-1j * t * h.entries)
+        frame_u = parity_frame(layout, parity_frame(layout, u).T, inverse=True).T
+        assert np.max(np.abs(o - frame_u)) < 1e-10
         kets = random_kets(np.random.default_rng(seed), len(e), 3)
-        state0 = KetEnsemble(spec.layout(), parity_frame(spec.layout(), kets))
-        got = prop.state_at(state0, t).true_kets()
-        e_ref, v_ref = np.linalg.eigh(h.entries)
-        want = v_ref @ (np.exp(-1j * e_ref * t)[:, None] * (v_ref.T @ kets))
-        assert np.max(np.abs(got - want)) < 1e-10
+        state0 = KetEnsemble(layout, parity_frame(layout, kets))
+        assert np.max(np.abs(prop.state_at(state0, t).true_kets() - u @ kets)) < 1e-10
 
     def test_chiral_zero_modes(self):
         # B is rank-deficient in every qubit model: |g,0> has no partner to
@@ -436,6 +440,19 @@ class TestProductFormula:
         assert 3.0 < ratio < 5.0
 
 
+def vectorized_lindbladian(h, jumps) -> np.ndarray:
+    """The generator of the master equation on column-major vec(rho), for the
+    real diagonals `jumps` of the jump operators: vec(A X B) = kron(B^T, A) vec(X)."""
+    hm = h.entries
+    eye = np.eye(len(hm))
+    gen = -1j * (np.kron(eye, hm) - np.kron(hm.T, eye))
+    for d in jumps:
+        j = np.diag(d)
+        jj = j.T @ j
+        gen += np.kron(j, j) - 0.5 * (np.kron(eye, jj) + np.kron(jj.T, eye))
+    return gen
+
+
 class TestLindblad:
     def small(self, cutoff=10, gamma=0.2):
         s = two_body(cutoff=cutoff, dephasing_rate=gamma)
@@ -511,8 +528,9 @@ class TestLindblad:
     def test_rejects_repeated_output_times_before_integrating(self, rng, monkeypatch):
         s, h, jumps = self.small(cutoff=6)
         rho0 = QuantumState(s.layout(), random_density(rng, s.layout().total_dim))
-        monkeypatch.setattr(evolution._StrangStep, "__call__",
-                            lambda *args: pytest.fail("integrated before the check"))
+        for seam in ("attempt", "__call__"):
+            monkeypatch.setattr(evolution._StrangStep, seam,
+                                lambda *args: pytest.fail("integrated before the check"))
         with pytest.raises(StateError, match="0.1 follows 0.1"):
             lindblad_evolve(h, jumps, rho0, [0.1, 0.1])
 
@@ -569,14 +587,7 @@ class TestLindblad:
         if signed_jump:
             jumps = [jumps[0] * rng.choice([-1.0, 1.0], dim)]
         rho0 = QuantumState(layout, random_density(rng, dim))
-        # column-major vec: vec(A X B) = kron(B^T, A) vec(X)
-        eye = np.eye(dim)
-        hm = h.entries
-        gen = -1j * (np.kron(eye, hm) - np.kron(hm.T, eye))
-        for d in jumps:
-            j = np.diag(d)
-            jj = j.T @ j
-            gen += np.kron(j, j) - 0.5 * (np.kron(eye, jj) + np.kron(jj.T, eye))
+        gen = vectorized_lindbladian(h, jumps)
         times = [0.0, 0.5, 2.0]
         res = lindblad_evolve(h, jumps, rho0, times, tol=1e-10)
         for t, stt in zip(times, res.states):
@@ -585,32 +596,79 @@ class TestLindblad:
             assert np.max(np.abs(stt.data - exact)) < 1e-7
             assert np.array_equal(stt.data, stt.data.conj().T)
 
+    @given(spec=chiral_models(), gamma=st.floats(0.05, 1.0), real=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_dephased_chiral_models_match_vectorized_lindbladian(self, spec, gamma, real, seed):
+        # the oscillator absorber of dimension 4 or 6 interleaves the parity
+        # halves in storage order; real kets in the parity frame keep the
+        # run real there
+        layout = spec.layout()
+        dim = layout.total_dim
+        assume(dim <= 24)
+        rng = np.random.default_rng(seed)
+        h, jumps = build_hamiltonian(spec), dephasing_dissipator(gamma, spec)
+        if real:
+            kets = rng.normal(size=(dim, 3))
+            rho0 = KetEnsemble(layout, kets / np.linalg.norm(kets))
+        else:
+            rho0 = QuantumState(layout, random_density(rng, dim))
+        res = lindblad_evolve(h, jumps, rho0, [0.0, 0.5, 2.0], tol=1e-10)
+        assert res.step.chiral
+        quarter = scipy.linalg.expm(0.5 * vectorized_lindbladian(h, jumps))
+        exact = rho0.density().ravel(order="F")
+        for stt, powers in zip(res.states, (0, 1, 3)):
+            for _ in range(powers):
+                exact = quarter @ exact
+            assert np.max(np.abs(stt.data - exact.reshape((dim, dim), order="F"))) < 1e-7
+            assert np.array_equal(stt.data, stt.data.conj().T)
+            if real:
+                assert not np.imag(res.step.frame(stt.data)).any()
+
+
+@st.composite
+def non_chiral_models(draw):
+    """Small models whose H also couples absorber levels of one parity: a
+    free oscillator term, a detuning, or an oscillator absorber of odd
+    dimension."""
+    kw = dict(interactions=(Interaction(1, draw(st.floats(-2.0, 2.0))),
+                            Interaction(2, draw(st.floats(-2.0, 2.0)))),
+              cutoff=draw(st.integers(3, 8)))
+    kind = draw(st.sampled_from(["omega", "Delta", "odd"]))
+    if kind == "odd":
+        kw.update(absorber="oscillator", absorber_dim=draw(st.sampled_from([3, 5])))
+    else:
+        kw[kind] = draw(st.floats(0.1, 2.0))
+    return ModelSpec(**kw)
+
 
 class TestStrangStep:
-    """One step on the real encoding M = Re sigma + Im sigma against the
-    complex formula of the `_StrangStep` docstring."""
+    """One step on the real encoding M = Re rho + Im rho, in the step's frame,
+    against the complex formula of the `_StrangStep` docstring with the
+    matrix exponential of H."""
 
-    @given(seed=st.integers(0, 2**32 - 1), h=st.floats(1e-3, 2.0))
-    def test_matches_complex_formula(self, seed, h):
+    @given(model=st.one_of(chiral_models().map(lambda spec: (spec, True)),
+                           non_chiral_models().map(lambda spec: (spec, False))),
+           seed=st.integers(0, 2**32 - 1), h=st.floats(1e-3, 2.0))
+    def test_matches_complex_formula(self, model, seed, h):
+        spec, chiral = model
         rng = np.random.default_rng(seed)
-        s = two_body(cutoff=6, dephasing_rate=0.3)
-        layout = s.layout()
-        dim = layout.total_dim
-        ham, jumps = build_hamiltonian(s), dephasing_dissipator(0.3, s)
+        dim = spec.layout().total_dim
+        ham, jumps = build_hamiltonian(spec), dephasing_dissipator(0.3, spec)
         step = evolution._StrangStep(ham, jumps)
-        assert step.vecs.dtype == step.rates.dtype == np.float64
+        assert step.chiral == chiral
+        assert step.rates.dtype == np.float64
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        sigma = (a + a.conj().T) / np.linalg.norm(a)
+        rho = (a + a.conj().T) / np.linalg.norm(a)
 
-        m = step(sigma.real + sigma.imag, h)
-        got = 0.5 * (m + m.T) + 0.5j * (m - m.T)
+        framed = step.frame(rho)
+        m = step(framed.real + framed.imag, h)
+        got = step.frame(0.5 * (m + m.T) + 0.5j * (m - m.T), inverse=True)
 
-        v, p = step.vecs, np.exp(-0.5j * h * step.energies)
-        phase = np.outer(p, p.conj())
+        u = scipy.linalg.expm(-1j * h * ham.entries)
         d = jumps[0].astype(complex)
         w = np.abs(d) ** 2
-        k = np.outer(d, d.conj()) - 0.5 * (w[:, None] + w[None, :])
-        want = phase * (v.conj().T @ (np.exp(h * k) * (v @ (phase * sigma) @ v.conj().T)) @ v)
+        e = np.exp(0.5 * h * (np.outer(d, d.conj()) - 0.5 * (w[:, None] + w[None, :])))
+        want = e * (u @ (e * rho) @ u.conj().T)
         assert np.max(np.abs(got - want)) < 1e-13
 
 
