@@ -11,7 +11,9 @@ file present in only one tree is a mismatch.
 
 A text file whose bytes differ but whose non-numeric text is the same is
 also compared number by number, and its largest absolute difference is
-printed; it still counts as a mismatch.
+printed; it still counts as a mismatch.  The last line is the verdict:
+AGREE, or DISAGREE naming every missing file, every byte-differing file with
+its largest numeric difference, and every Wigner grid beyond --wigner-atol.
 
 Usage: python scripts/compare_outputs.py A B [--wigner-atol 1e-12]
 Exit code 0 when the trees agree, 1 otherwise.
@@ -83,10 +85,11 @@ def _numeric_difference(a: pathlib.Path, b: pathlib.Path) -> float | None:
 
 def compare(root_a: pathlib.Path, root_b: pathlib.Path, wigner_atol: float) -> bool:
     files_a, files_b = _files(root_a), _files(root_b)
-    ok = True
+    # what disagrees, by kind, each entry naming a file and how far it is off
+    missing, differ, grids = [], [], []
     for rel in sorted(files_a ^ files_b):
         print(f"MISSING  {rel} (only in {root_a if rel in files_a else root_b})")
-        ok = False
+        missing.append(str(rel))
     worst = 0.0
     for rel in sorted(files_a & files_b):
         a, b = root_a / rel, root_b / rel
@@ -96,17 +99,25 @@ def compare(root_a: pathlib.Path, root_b: pathlib.Path, wigner_atol: float) -> b
             good = axes_equal and excess <= wigner_atol
             print(f"{'OK' if good else 'DIFFER':8} {rel} max|dW|={diff:.3e}"
                   + ("" if axes_equal else " (axes differ)"))
+            if not good:
+                grids.append(f"{rel} max|dW|={diff:.3e}" + ("" if axes_equal else ", axes differ"))
         else:
             good = a.read_bytes() == b.read_bytes()
             detail = "byte-equal" if good else "bytes differ"
             if not good:
                 diff = _numeric_difference(a, b)
-                detail += "" if diff is None else f", max|d|={diff:.3e}"
+                numbers = "text differs" if diff is None else f"max|d|={diff:.3e}"
+                detail += f", {numbers}"
+                differ.append(f"{rel} {numbers}")
             print(f"{'OK' if good else 'DIFFER':8} {rel} {detail}")
-        ok = ok and good
-    print(f"{'AGREE' if ok else 'DISAGREE'}: largest Wigner difference {worst:.3e} "
-          f"(atol {wigner_atol:g})")
-    return ok
+    reasons = [f"{len(names)} {kind} ({'; '.join(names)})" for kind, names in (
+        ("missing", missing), ("byte-differing", differ),
+        (f"Wigner over atol {wigner_atol:g}", grids)) if names]
+    if reasons:
+        print("DISAGREE: " + ", ".join(reasons))
+    else:
+        print(f"AGREE: largest Wigner difference {worst:.3e} (atol {wigner_atol:g})")
+    return not reasons
 
 
 def main() -> int:

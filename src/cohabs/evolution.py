@@ -11,10 +11,11 @@ per nonzero population, never a dense density matrix.
 When H has no free or detuning terms, every term raises or lowers the
 absorber by one quantum, so H only couples even to odd absorber levels.
 Such a chiral H is decomposed through the SVD of its half-size coupling
-block, and in the parity frame it generates a real orthogonal map: a real
-input (every Fock-diagonal input, and a coherent input or pump at a real
-amplitude) stays real at every time, and its products, partial traces and
-diagnostics run in real arithmetic.  Any other H (free or detuning terms, an
+block, taken one connected block at a time where a conserved quantity splits
+it, and in the parity frame it generates a real orthogonal map: a real input
+(every Fock-diagonal input, and a coherent input or pump at a real amplitude)
+stays real at every time, and its products, partial traces and diagnostics
+run in real arithmetic.  Any other H (free or detuning terms, an
 absorber of odd dimension) goes through a dense `eigh` and complex phases,
 its kets moved out of the frame and back by exact multiplications by +-i.
 
@@ -90,15 +91,53 @@ def _parity_halves(layout) -> tuple[int, int] | None:
 def _chiral_svd(hamiltonian: Hamiltonian, halves: tuple[int, int] | None) -> tuple | None:
     """The SVD (U, s, W^T) of the coupling block B of an H that couples even
     absorber levels only to odd ones, H = [[0, B], [B^T, 0]] over the two
-    parity halves (see `_parity_halves`); None for any other H."""
+    parity halves (see `_parity_halves`); None for any other H.  B is
+    decomposed one connected block at a time (a conserved quantity splits it,
+    as M = 2P_e + n_b + n_a does the pumped model's), and whole, by one plain
+    `np.linalg.svd(B)`, when at most one block has entries."""
     if halves is None:
         return None
     outer, inner = halves
     blocks = hamiltonian.entries.reshape(outer, 2, inner, outer, 2, inner)
     if blocks[:, 0, :, :, 0].any() or blocks[:, 1, :, :, 1].any():
         return None
-    half = outer * inner
-    return np.linalg.svd(blocks[:, 0, :, :, 1].reshape(half, half))
+    n = outer * inner
+    b = blocks[:, 0, :, :, 1].reshape(n, n)
+    # label the connected components of B's nonzero bipartite graph (rows are
+    # nodes 0..n-1, columns n..2n-1): each edge hooks its larger label onto
+    # its smaller, then every node jumps to its label's label, until stable
+    rows, cols = np.divmod(np.flatnonzero(b != 0), n)
+    cols += n
+    label, last = np.arange(2 * n), None
+    while not np.array_equal(label, last):
+        last, ends = label, (label[rows], label[cols])
+        label = label.copy()
+        np.minimum.at(label, np.maximum(*ends), np.minimum(*ends))
+        label = label[label]
+    if len(np.unique(label[rows])) <= 1:
+        return np.linalg.svd(b)
+    # each component is a block, an isolated row (1 x 0) or column (0 x 1) too,
+    # and blocks of one shape share a batched SVD.  Singular pairs take slots
+    # from 0; null vectors, left and right apart, from there on, paired at s = 0
+    keys, comp = np.unique(label, return_inverse=True)
+    order = np.argsort(comp, kind="stable")         # rows before columns in each
+    size_r, size_c = (np.bincount(part, minlength=len(keys)) for part in (comp[:n], comp[n:]))
+    start = np.cumsum(size_r + size_c) - size_r - size_c
+    u, s, wt = np.zeros((n, n)), np.zeros(n), np.zeros((n, n))
+    free = np.array([0, 1, 1]) * np.minimum(size_r, size_c).sum()    # pair, left, right
+    for r, c in sorted(set(zip(size_r.tolist(), size_c.tolist()))):
+        ks = np.flatnonzero((size_r == r) & (size_c == c))
+        nodes = order[start[ks, None] + np.arange(r + c)]
+        r_idx, c_idx = nodes[:, :r, None], nodes[:, None, r:] - n
+        uk, sk, wtk = np.linalg.svd(b[r_idx, c_idx])
+        widths = np.array([min(r, c), r - min(r, c), c - min(r, c)])
+        pair, left, right = (f + np.arange(len(ks) * w).reshape(len(ks), w)
+                             for f, w in zip(free, widths))
+        free += len(ks) * widths
+        s[pair] = sk
+        u[r_idx, np.concatenate([pair, left], axis=1)[:, None]] = uk
+        wt[np.concatenate([pair, right], axis=1)[:, :, None], c_idx] = wtk
+    return u, s, wt
 
 
 @dataclass(frozen=True)

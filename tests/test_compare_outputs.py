@@ -52,3 +52,23 @@ def test_last_digit_flip_agrees_at_default_atol(tmp_path):
     # two units are a real difference
     c = write_tree(tmp_path / "c", np.array([[0.123456789014, 0.5], [-0.1, 0.3]]), "{}")
     assert not compare_outputs.compare(a, c, 1e-12)
+
+
+def test_verdict_names_what_disagrees(tmp_path, capsys):
+    values = np.arange(9.0).reshape(3, 3) / 10
+    a = write_tree(tmp_path / "a", values, '{"c": 1.5e-3}')
+    # only summary.json differs: the verdict names it, not the equal grids
+    assert not compare_outputs.compare(a, write_tree(tmp_path / "b", values, '{"c": 1.25e-3}'),
+                                       1e-12)
+    verdict = capsys.readouterr().out.splitlines()[-1]
+    assert verdict == "DISAGREE: 1 byte-differing (summary.json max|d|=2.500e-04)"
+    # a missing file and a grid beyond the tolerance are named too (the
+    # normalization integral, the sum of the nine values, moves by 9e-9)
+    c = write_tree(tmp_path / "c", values + 1e-9, '{"c": 1.5e-3}')
+    (c / "wigner_max.csv").unlink()
+    assert not compare_outputs.compare(a, c, 1e-12)
+    verdict = capsys.readouterr().out.splitlines()[-1]
+    assert verdict == ("DISAGREE: 1 missing (wigner_max.csv), "
+                       "1 Wigner over atol 1e-12 (wigner_max.txt max|dW|=9.000e-09)")
+    assert compare_outputs.compare(a, a, 1e-12)
+    assert capsys.readouterr().out.splitlines()[-1].startswith("AGREE")

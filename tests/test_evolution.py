@@ -3,7 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, strategies as st
+import scipy.sparse
+import scipy.sparse.csgraph
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from cohabs import evolution, experiments
 from cohabs.errors import IntegrationError, StateError
@@ -61,6 +63,28 @@ def chiral_models(draw):
     elif kind == "oscillator":
         kw.update(absorber="oscillator", absorber_dim=draw(st.sampled_from([2, 4, 6])))
     return ModelSpec(**kw)
+
+
+@st.composite
+def sector_models(draw):
+    """Chiral models whose coupling block B falls into connected blocks: the
+    pumped model up to cutoff 12 and pump dimension 8, whose every term
+    conserves M = 2P_e + n_b + n_a, and qubit models of one order (many
+    blocks) or two (one block).  A coupling may be zero, down to B = 0."""
+    coupling = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    orders = draw(st.sampled_from([(1,), (2,), (1, 2)]))
+    kw = dict(interactions=tuple(Interaction(k, draw(coupling)) for k in orders),
+              cutoff=draw(st.integers(3, 12)))
+    if draw(st.booleans()):
+        kw.update(pump=0j, pump_dim=draw(st.integers(2, 8)))
+    return ModelSpec(**kw)
+
+
+def coupling_block(h):
+    """B of a chiral H = [[0, B], [B^T, 0]] over the parity halves."""
+    outer, inner = evolution._parity_halves(h.layout)
+    return h.entries.reshape(outer, 2, inner, outer, 2, inner)[:, 0, :, :, 1].reshape(
+        outer * inner, -1)
 
 
 def switch_config(spec, segments, n):
@@ -184,6 +208,35 @@ class TestHamiltonianPropagator:
         kets = random_kets(np.random.default_rng(seed), len(e), 3)
         state0 = KetEnsemble(layout, parity_frame(layout, kets))
         assert np.max(np.abs(prop.state_at(state0, t).true_kets() - u @ kets)) < 1e-10
+
+    @given(sector_models(), st.integers(0, 2**32 - 1), st.floats(0.0, 5.0))
+    @example(two_body(cutoff=12), 0, 1.0)                       # one block
+    @example(two_body(cutoff=12, pump=0j, pump_dim=8), 0, 1.0)  # many, some rectangular
+    def test_coupling_block_svd_by_connected_blocks(self, spec, seed, t):
+        h = build_hamiltonian(spec)
+        layout = spec.layout()
+        b = coupling_block(h)
+        n = len(b)
+        prop = HamiltonianPropagator(h)
+        u, s, wt = prop._svd
+        assert np.max(np.abs(u.T @ u - np.eye(n))) < 1e-12
+        assert np.max(np.abs(wt @ wt.T - np.eye(n))) < 1e-12
+        assert np.max(np.abs((u * s) @ wt - b)) < 1e-12
+        # the connected blocks of B's nonzero bipartite graph, rows then columns
+        graph = scipy.sparse.bmat([[None, scipy.sparse.csr_matrix(b)], [b.T, None]])
+        label = scipy.sparse.csgraph.connected_components(graph, directed=False)[1]
+        if len(np.unique(label[:n][b.any(axis=1)])) <= 1:
+            for got, want in zip(prop._svd, np.linalg.svd(b)):
+                assert np.array_equal(got, want)
+        else:
+            # every singular vector lies in one block
+            for vectors, block in ((u.T, label[:n]), (wt, label[n:])):
+                for v in vectors:
+                    assert len(np.unique(block[v != 0])) == 1
+        u_t = scipy.linalg.expm(-1j * t * h.entries)
+        kets = random_kets(np.random.default_rng(seed), 2 * n, 3)
+        state0 = KetEnsemble(layout, parity_frame(layout, kets))
+        assert np.max(np.abs(prop.state_at(state0, t).true_kets() - u_t @ kets)) < 1e-10
 
     def test_chiral_zero_modes(self):
         # B is rank-deficient in every qubit model: |g,0> has no partner to
@@ -596,6 +649,9 @@ class TestLindblad:
             assert np.max(np.abs(stt.data - exact)) < 1e-7
             assert np.array_equal(stt.data, stt.data.conj().T)
 
+    # every example integrates at tol 1e-10, so shrinking a failure would take
+    # minutes: report the first failing example as found
+    @settings(phases=[p for p in Phase if p != Phase.shrink])
     @given(spec=chiral_models(), gamma=st.floats(0.05, 1.0), real=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_dephased_chiral_models_match_vectorized_lindbladian(self, spec, gamma, real, seed):
