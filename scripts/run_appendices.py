@@ -2,8 +2,9 @@
 """Reproduce every appendix scenario (switch order, landscape, weak coupling,
 dephasing, classical inputs, mixer, pumped completion, admixtures).
 
-The dephasing and mixer runs take a few minutes each at their production
-cutoffs.
+At their production cutoffs and --jobs 1 on 2 vCPUs (OpenBLAS, 2 threads),
+the dephasing run (appendixC_dephasing) takes 19-21 s and the mixer run
+(appendixC_mw) about 3.5 s.
 
 Usage: python scripts/run_appendices.py [output_root] [--jobs N] [--skip-slow]
 """

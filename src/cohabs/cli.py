@@ -85,7 +85,7 @@ def _cmd_robustness(config: ScenarioConfig, args) -> dict:
 
 
 def _cmd_wigner(config: ScenarioConfig, args) -> dict:
-    tau = config.schedule.tau_max if config.schedule.points > 1 else 0.0
+    tau = float(config.schedule.taus()[-1])
     rho, = experiments.oscillator_states(config, [tau])
     _, grid, negativity = experiments.wigner_snapshot(rho, config.diagnostics.wigner_points)
     out = _resolve_output(config, args)
@@ -128,8 +128,6 @@ def dispatch(argv=None) -> int:
         config = load_config(args.config).apply_overrides(args.overrides)
         if args.command == "switch" and config.schedule.type != "switch":
             raise ConfigError("the switch subcommand needs a switch schedule")
-        if args.command == "robustness" and config.schedule.type != "continuous":
-            raise ConfigError("the robustness subcommand needs a continuous schedule")
         if args.dry_run:
             _print_summary({"resolved_config": config.to_dict(),
                             "config_hash": config.hash(),

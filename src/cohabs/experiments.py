@@ -78,6 +78,11 @@ class ScheduleSpec:
         if self.points > 1 and self.tau_max == 0:
             raise ConfigError(f"a schedule of {self.points} points needs tau_max > 0")
 
+    def taus(self) -> np.ndarray:
+        """The default output grid: the segment ends, or `points` taus to tau_max."""
+        return (np.cumsum([s.tau for s in self.segments]) if self.type == "switch"
+                else np.linspace(0.0, self.tau_max, self.points))
+
 
 @dataclass(frozen=True)
 class DiagnosticsFlags:
@@ -119,6 +124,8 @@ class ScenarioConfig:
                 raise ConfigError(f"sweep axis {axis!r} does not apply to {ignored}")
         if not (math.isfinite(self.lindblad_tol) and self.lindblad_tol > 0):
             raise ConfigError(f"lindblad_tol must be finite and > 0, got {self.lindblad_tol}")
+        for s in self.schedule.segments if self.schedule.type == "switch" else ():
+            self.model.coupling(s.order)        # the model holds each segment's order
 
     def ladder(self) -> tuple[int, ...]:
         return self.cutoff_ladder or (self.model.cutoff,)
@@ -278,8 +285,7 @@ class PointRun:
     converged: bool
     leakage_flag: bool
     extras: dict = field(default_factory=dict)
-    # trajectory(tau): a continuous run's reduced state at any scaled time tau
-    # at the top cutoff (see `_evolve`); never serialized
+    # trajectory(tau): the reduced state at any tau, top cutoff (`_evolve`); not serialized
     trajectory: Callable | None = field(default=None, repr=False)
 
     def summary(self) -> dict:
@@ -295,17 +301,24 @@ class PointRun:
 
 
 def _pieces(config: ScenarioConfig, model: ModelSpec,
-            taus) -> list[tuple[ModelSpec, np.ndarray]]:
-    """The run of `model` as (model, raw output times from the piece's start)
-    pieces, each of one constant Hamiltonian: a continuous schedule is one
-    piece over the scaled times `taus`; a switch schedule has one piece per
-    segment, the model with only the segment's interaction on, output at the
-    segment's end."""
-    scale = model.tau_scale()
+            taus) -> list[tuple[ModelSpec, float, np.ndarray]]:
+    """The run of `model` as (model, raw duration, raw output times from the
+    piece's start) pieces of constant Hamiltonians, with the increasing scaled
+    times `taus` split among them: one unbounded piece for a continuous
+    schedule, and for a switch schedule one per segment, the model with only
+    its interaction on, closed on the right (the taus in (start, end], the
+    first piece also those before, the last those after), an end taken at
+    the segment's own duration, never as a difference of cumulative ends."""
+    scale, taus = model.tau_scale(), np.asarray(taus, float)
     if config.schedule.type == "continuous":
-        return [(model, np.asarray(taus, float) / scale)]
-    return [(replace(model, interactions=(Interaction(s.order, model.coupling(s.order)),)),
-             np.array([s.tau / scale])) for s in config.schedule.segments]
+        return [(model, math.inf, taus / scale)]
+    pieces, ends = [], config.schedule.taus()
+    which = np.searchsorted(ends[:-1], taus)
+    for i, (s, start, end) in enumerate(zip(config.schedule.segments, np.r_[0.0, ends], ends)):
+        mine, only = taus[which == i], Interaction(s.order, model.coupling(s.order))
+        pieces.append((replace(model, interactions=(only,)), s.tau / scale,
+                       np.where(mine == end, s.tau, mine - start) / scale))
+    return pieces
 
 
 def _hamiltonian_key(model: ModelSpec) -> ModelSpec:
@@ -331,56 +344,49 @@ def _evolve(config: ScenarioConfig, cutoff: int, taus, observe,
             propagators: dict[ModelSpec, HamiltonianPropagator]):
     """Evolve the configured initial state at one cutoff, piece by piece (see
     `_pieces`), and call observe(state) at each output time: the increasing
-    scaled times `taus`, or the schedule's own points when taus is None.  A
-    switch schedule has only its segment boundaries and accepts no `taus`.
+    scaled times `taus`, or the schedule's default grid when None.  A piece
+    starts from the state at the previous piece's end, an output time or not.
     Unitary runs pass KetEnsembles, dephased runs density-matrix states.  A
-    unitary piece takes its propagator from `propagators` (the caller's
-    {Hamiltonian key: propagator}), building and adding it when missing.
-    Returns (taus, raw times, trajectory), where trajectory(tau) is the reduced
-    state at any scaled time of a continuous schedule, from the piece's
-    propagator and expansion or its checkpoints, with the series' own bits at
-    the series' times; None for a switch schedule."""
-    sched = config.schedule
-    if sched.type == "switch" and taus is not None:
-        raise ConfigError("state reconstruction is only defined for continuous schedules")
+    unitary piece takes its propagator from `propagators` ({Hamiltonian key:
+    propagator}), adding it when missing.  Returns (taus, raw times,
+    trajectory): trajectory(tau) is the reduced state at any scaled time, from
+    the propagator and expansion or the checkpoints of the piece holding tau."""
     model = replace(config.model, cutoff=cutoff)
     state = states.make_state(config.initial, model.layout(), pump_amplitude=model.pump)
-    if taus is None:
-        taus = (np.cumsum([s.tau for s in sched.segments]) if sched.type == "switch"
-                else np.linspace(0.0, sched.tau_max, sched.points))
-
-    def advance(new_state):     # the last state alone is carried to the next piece
-        nonlocal state
-        state = new_state
-        observe(new_state)
-
-    for piece, times in _pieces(config, model, taus):
+    taus = config.schedule.taus() if taus is None else taus
+    state_ats = []              # each piece's state_at(raw time from its start)
+    for piece, duration, times in _pieces(config, model, taus):
+        state = state_ats[-1](end) if state_ats else state     # the previous piece's end
+        end = duration
         if piece.dephasing_rate > 0:
-            hamiltonian, rho0 = models.build_hamiltonian(piece), state
-            jumps = models.dephasing_dissipator(piece.dephasing_rate, piece)
-            run = lindblad_evolve(hamiltonian, jumps, rho0, times, tol=config.lindblad_tol,
-                                  observer=advance)
-            state_at = partial(_resume, hamiltonian, jumps, rho0, config.lindblad_tol, run)
+            args = (models.build_hamiltonian(piece),
+                    models.dephasing_dissipator(piece.dephasing_rate, piece), state)
+            run = lindblad_evolve(*args, times, tol=config.lindblad_tol, observer=observe)
+            state_ats.append(partial(_resume, *args, config.lindblad_tol, run))
         else:
             key = _hamiltonian_key(piece)
             prop = propagators.get(key)
             if prop is None:
                 prop = propagators[key] = _propagator(key)
             initial = prop.expand(state)
+            # each state is held until the next is made: freed first, its block at
+            # the top of the heap is trimmed and faulted back in at every point
             for t in times:
-                advance(prop.state_at(initial, float(t)))
-            state_at = partial(prop.state_at, initial)
-    scale = model.tau_scale()
-    trajectory = None if sched.type == "switch" else (
-        lambda tau: partial_trace(state_at(float(tau) / scale), OSC_LABEL))
-    return taus, np.asarray(taus, float) / scale, trajectory
+                observe(last := prop.state_at(initial, float(t)))
+            state_ats.append(partial(prop.state_at, initial))
+
+    def trajectory(tau):        # on the one piece that holds tau
+        for state_at, (*_, times) in zip(state_ats, _pieces(config, model, [tau])):
+            if len(times):
+                return partial_trace(state_at(float(times[0])), OSC_LABEL)
+    return taus, np.asarray(taus, float) / model.tau_scale(), trajectory
 
 
 def oscillator_states(config: ScenarioConfig, taus) -> list:
     """Reduced oscillator states at the scaled times `taus`, at the top ladder
-    cutoff, from a run of their own; continuous schedules only.  Unitary runs
-    give ket ensembles (rho = Phi Phi^dag), dephased runs density matrices;
-    every function in `observables` takes either."""
+    cutoff, from a run of their own.  Unitary runs give ket ensembles
+    (rho = Phi Phi^dag), dephased runs density matrices; every function in
+    `observables` takes either."""
     grid = sorted({float(tau) for tau in taus})
     rhos = []
     _evolve(config, config.ladder()[-1], grid,
@@ -475,8 +481,7 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> Point
     """Full single-scenario run with optional persisted artifacts."""
     run = run_point(config)
     outdir = _ensure_dir(output_dir) if output_dir else None
-    if run.trajectory is not None:
-        run.extras.update(_diag_extras(config, run, outdir))
+    run.extras.update(_diag_extras(config, run, outdir))
     if outdir:
         _write_json(os.path.join(outdir, "config.json"),
                     {**config.to_dict(), "config_hash": config.hash(),
@@ -513,7 +518,7 @@ def run_batch(items: list[tuple[ScenarioConfig, Callable | None]], jobs: int = 1
     and freed with, the run that uses it."""
     unique = [item for i, item in enumerate(items) if item not in items[:i]]
     uses = Counter(_hamiltonian_key(piece) for cfg, _ in unique for cutoff in cfg.ladder()
-                   for piece, _times in _pieces(cfg, replace(cfg.model, cutoff=cutoff), ())
+                   for piece, *_ in _pieces(cfg, replace(cfg.model, cutoff=cutoff), ())
                    if piece.dephasing_rate == 0)
     keys = [m for m, count in uses.items() if count >= 2]
     shared = dict(zip(keys, _parallel(_propagator, keys, jobs)))
@@ -607,7 +612,7 @@ def _shell_removal_at_max(config, runs, references, output_dir) -> dict:
     """bars: the coherence left after Gaussian-shell removal at the
     max-coherence time, for n > 0."""
     for run in runs:
-        if config.diagnostics.shell_removal and run.coords["n"] > 0 and run.trajectory:
+        if config.diagnostics.shell_removal and run.coords["n"] > 0:
             run.extras["shell_removed_coherence"] = observables.coherence(
                 observables.remove_gaussian_shell(run.trajectory(run.tau_at_max)))
     return {}
@@ -790,9 +795,6 @@ def robustness_suite(base: ScenarioConfig, jobs: int = 1,
     (`_robustness_variants`), each reported in its own worker, and the base
     scenario itself as the reference, all in one batch.  The base's sweep axes
     are dropped: a variant's input need not read them."""
-    if base.schedule.type != "continuous":
-        raise ConfigError("the robustness suite samples states, which needs a continuous "
-                          "schedule")
     base = replace(base, sweep={})
     variants = _robustness_variants(base)
     *reports, reference = run_batch(

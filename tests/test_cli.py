@@ -4,9 +4,9 @@ import pathlib
 
 import pytest
 
-from cohabs import experiments
+from cohabs import observables
 from cohabs.cli import dispatch
-from cohabs.experiments import load_config, oscillator_states, wigner_snapshot
+from cohabs.experiments import load_config, oscillator_states, run_point, wigner_snapshot
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -74,16 +74,24 @@ class TestDispatch:
         code, _ = run_json(capsys, ["switch", "--config", cfg])
         assert code == 2
 
-    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
-    def test_robustness_rejects_switch_schedule(self, capsys, monkeypatch, dry_run):
-        # at load, before any run: the suite samples states at chosen times
-        calls = []
-        monkeypatch.setattr(experiments, "run_point", lambda *a, **kw: calls.append(a))
-        code = dispatch(["robustness", "--config", str(CONFIGS / "fig2.json"),
-                         "--jobs", "1"] + dry_run)
-        assert code == 2
-        assert calls == []
-        assert "continuous schedule" in capsys.readouterr().err
+    def test_switch_writes_wigner_grids_and_shell_removal(self, tmp_path, capsys):
+        # the grids and the shell removal of a switch run, from its trajectory
+        overrides = ["model.cutoff=20", "cutoff_ladder=[20]", "diagnostics.wigner=true",
+                     "diagnostics.shell_removal=true", "diagnostics.wigner_points=41"]
+        code, summary = run_json(capsys, ["switch", "--config", str(CONFIGS / "fig2.json"),
+                                          "--output", str(tmp_path / "run")]
+                                 + [a for pair in overrides for a in ("--set", pair)])
+        assert code == 0
+        config = load_config(CONFIGS / "fig2.json").apply_overrides(overrides)
+        run = run_point(config)
+        rho_max = run.trajectory(run.tau_at_max)
+        assert summary["shell_removed_coherence"] == observables.coherence(
+            observables.remove_gaussian_shell(rho_max))
+        for label in ("half", "max"):
+            grid = wigner_snapshot(run.trajectory(getattr(run, f"tau_at_{label}")), 41)[1]
+            observables.save_wigner_text(grid, str(tmp_path / f"{label}.txt"))
+            assert (tmp_path / "run" / f"wigner_{label}.txt").read_bytes() == \
+                (tmp_path / f"{label}.txt").read_bytes()
 
     def test_sweep_axes(self, tmp_path, capsys):
         doc = tiny_doc(sweep={"n": [1, 2]})
@@ -201,10 +209,16 @@ class TestDispatch:
         assert laddered == top
         assert laddered["negativity_volume"] != plain["negativity_volume"]
 
-    def test_wigner_rejects_switch_schedule(self, tmp_path, capsys):
-        doc = tiny_doc(schedule={"type": "switch", "segments": [[1, 0.5], [2, 0.5]]})
-        code, _ = run_json(capsys, ["wigner", "--config", write_config(tmp_path, doc)])
-        assert code == 2
+    def test_wigner_on_switch_schedule_at_last_segment_end(self, tmp_path, capsys):
+        doc = tiny_doc(schedule={"type": "switch", "segments": [[1, 0.3], [2, 0.4]]},
+                       diagnostics={"wigner_points": 41})
+        cfg = write_config(tmp_path, doc)
+        code, summary = run_json(capsys, ["wigner", "--config", cfg])
+        assert code == 0
+        run = run_point(load_config(cfg))
+        assert summary["tau"] == run.taus[-1] == 0.3 + 0.4
+        assert summary["negativity_volume"] == wigner_snapshot(run.trajectory(0.3 + 0.4),
+                                                               41)[2]
 
 
 class TestOverridesAndDryRun:
@@ -346,6 +360,13 @@ class TestExitCodes:
         for extra in (["--dry-run"], []):
             assert dispatch(argv + extra) == 2
             assert f"sweep axis {axis!r} does not apply to {what}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_segment_order_the_model_lacks_exits_2(self, capsys, dry_run):
+        code = dispatch(["switch", "--config", str(CONFIGS / "fig2.json"),
+                         "--set", "schedule.segments=[[3, 1.0]]"] + dry_run)
+        assert code == 2
+        assert "model has no interaction of order 3" in capsys.readouterr().err
 
     def test_switch_segment_without_duration_exits_2(self, tmp_path, capsys):
         for tau in (0.0, -0.5):

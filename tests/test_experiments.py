@@ -11,12 +11,12 @@ import pytest
 from cohabs import experiments
 from cohabs.errors import ConfigError
 from cohabs.evolution import CHECKPOINTS, HamiltonianPropagator, _StrangStep
-from cohabs.hilbert import KetEnsemble
+from cohabs.hilbert import KetEnsemble, partial_trace
 from cohabs.experiments import (DiagnosticsFlags, ScenarioConfig, ScheduleSpec,
                                 SwitchSegment, from_document, load_config,
                                 oscillator_states, robustness_suite, run_batch, run_point,
                                 run_scenario, sweep, to_document, wigner_snapshot)
-from cohabs.models import Interaction, ModelSpec
+from cohabs.models import OSC_LABEL, Interaction, ModelSpec
 from cohabs.observables import save_wigner_csv, save_wigner_text
 from cohabs.states import InitialStateSpec
 
@@ -351,6 +351,40 @@ class TestTrajectory:
             ref, = oscillator_states(cfg, [tau])
             assert np.array_equal(state_array(run.trajectory(tau)), state_array(ref)), tau
 
+    @settings(max_examples=12, deadline=None)
+    @given(segments=st.lists(st.tuples(st.sampled_from([1, 2]), st.integers(10, 90).filter(
+               lambda k: k % 25).map(lambda k: k / 100)), min_size=1, max_size=3),
+           dephasing_rate=st.sampled_from([0.0, 0.05]), omega=st.sampled_from([0.0, 0.3]),
+           fractions=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=2))
+    def test_switch_states_equal_a_run_that_stops_there(self, segments, dephasing_rate,
+                                                        omega, fractions):
+        # before the first end, inside each segment, at each end and past the
+        # last one, against a run that stops at that tau alone; the inside
+        # times also against one run over all of them, and the ends against
+        # the series' own states
+        cfg = ScenarioConfig(
+            model=ModelSpec(interactions=(Interaction(1, 1.0), Interaction(2, 0.3)),
+                            cutoff=12, omega=omega, dephasing_rate=dephasing_rate),
+            initial=InitialStateSpec("fock", n=3),
+            schedule=ScheduleSpec(type="switch", segments=tuple(
+                SwitchSegment(order, tau) for order, tau in segments)))
+        ends = cfg.schedule.taus()
+        series = []
+        taus, _, _ = experiments._evolve(cfg, 12, None, lambda state: series.append(
+            partial_trace(state, OSC_LABEL)), {})
+        assert np.array_equal(taus, ends)
+        run = run_point(cfg)
+        for tau, rho in zip(ends, series):
+            assert np.array_equal(state_array(run.trajectory(tau)), state_array(rho)), tau
+        inside = [0.0, ends[-1] + 0.4] + [start + f * (end - start) for start, end
+                                          in zip(np.r_[0.0, ends], ends) for f in fractions]
+        # a run over the inside times alone passes no segment end as an output
+        for tau, together in zip(inside, oscillator_states(cfg, inside)):
+            assert np.array_equal(state_array(run.trajectory(tau)), state_array(together)), tau
+        for tau in [*inside, *ends]:
+            alone, = oscillator_states(cfg, [tau])
+            assert np.array_equal(state_array(run.trajectory(tau)), state_array(alone)), tau
+
 
 def pumped_config(**kw):
     return ScenarioConfig(
@@ -522,10 +556,21 @@ class TestRobustnessSuite:
         monkeypatch.setattr(experiments, "_robustness_variants", small_variants)
 
     def test_reports_and_reference(self):
-        results = robustness_suite(self.BASE)
-        variants = small_variants(self.BASE)
+        self.check_reports(self.BASE)
+
+    def test_switch_schedule_variants(self):
+        # a switch base's variants sample states inside its segments too
+        self.check_reports(replace(self.BASE, schedule=ScheduleSpec(
+            type="switch", segments=(SwitchSegment(1, 0.7), SwitchSegment(2, 1.3)))))
+
+    @staticmethod
+    def check_reports(base):
+        """Each variant's headline equals its own run's, and its negativity
+        volumes those of states from runs that stop at the sampled times."""
+        results = robustness_suite(base)
+        variants = small_variants(base)
         assert set(results) == set(variants) | {"reference"}
-        reference = run_point(self.BASE)
+        reference = run_point(base)
         assert results["reference"] == {"max_coherence": reference.max_coherence,
                                         "tau_at_max": reference.tau_at_max}
         assert results["dephasing"]["dephasing_rate"] == 0.1
@@ -551,13 +596,6 @@ class TestRobustnessSuite:
             robustness_suite(self.BASE, jobs=jobs, output_dir=str(tmp_path / f"jobs{jobs}"))
         assert (tmp_path / "jobs1" / "robustness.json").read_bytes() == \
             (tmp_path / "jobs2" / "robustness.json").read_bytes()
-
-    def test_switch_schedule_rejected_before_any_run(self, monkeypatch):
-        calls = count_runs(monkeypatch)
-        with pytest.raises(ConfigError, match="continuous schedule"):
-            robustness_suite(replace(self.BASE, schedule=ScheduleSpec(
-                type="switch", segments=(SwitchSegment(1, 0.5),))))
-        assert calls == []
 
     def test_every_run_is_in_the_batch(self, monkeypatch):
         # the seven variants and the reference, each run once

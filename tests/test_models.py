@@ -364,7 +364,7 @@ def shipped_models(config):
         m = cfg.model
         small = replace(m, cutoff=min(m.cutoff, 10), absorber_dim=min(m.absorber_dim, 4),
                         pump_dim=min(m.effective_pump_dim(), 6) if m.has_pump else None)
-        out += [piece for piece, _ in experiments._pieces(cfg, small, ())]
+        out += [piece for piece, *_ in experiments._pieces(cfg, small, ())]
     return out
 
 
