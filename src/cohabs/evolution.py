@@ -36,11 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError, LayoutError, StateError
-from .hilbert import ABSORBER_LABEL, KetEnsemble, QuantumState, abs2, check_positive, parity_frame
-from .models import OSC_LABEL, Hamiltonian
+from .hilbert import ABSORBER_LABEL, KetEnsemble, QuantumState, check_positive, parity_frame
+from .models import Hamiltonian
 
-LEAKAGE_LEVELS = 5
-LEAKAGE_WARN = 1e-6
 INITIAL_STEP = 1e-2     # first trial step of the master-equation integrator
 MIN_STEP = 1e-12        # step size below which it gives up
 CHECKPOINTS = 8         # most checkpoints a master-equation run keeps
@@ -55,20 +53,6 @@ class EvolutionResult:
     # accepted state sigma at time t <= t_out, encoded in the step's frame, and
     # the trial step h that follows
     checkpoints: tuple[tuple, ...]
-
-
-def top_level_population(state: QuantumState | KetEnsemble) -> float:
-    """Probability mass in the top LEAKAGE_LEVELS Fock levels of the oscillator."""
-    axis = state.layout.axis(OSC_LABEL)
-    dims = state.layout.dims
-    if isinstance(state, KetEnsemble):
-        probs = abs2(state.kets).sum(axis=1)
-    else:
-        probs = np.real(np.diagonal(state.data))
-    sum_axes = tuple(i for i in range(len(dims)) if i != axis)
-    pops = probs.reshape(dims).sum(axis=sum_axes)
-    k = min(LEAKAGE_LEVELS, dims[axis])
-    return float(pops[-k:].sum())
 
 
 def _product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -374,7 +358,7 @@ def lindblad_evolve(hamiltonian: Hamiltonian, jumps, rho0: QuantumState | KetEns
             check_positive(rho, atol=1e-7)
         except StateError as exc:
             raise StateError(f"{exc} (output time: {t_out:.6g})") from exc
-        st = QuantumState(rho0.layout, step.frame(rho, inverse=True), trace_atol=1e-8)
+        st = QuantumState(rho0.layout, step.frame(rho, inverse=True))
         if observer is not None:
             observer(st)
         else:

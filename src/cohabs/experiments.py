@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
+from functools import cache, partial
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 import hashlib
 import itertools
@@ -30,14 +30,14 @@ import numpy as np
 
 from . import models, observables, states
 from .errors import ConfigError
-from .evolution import (HamiltonianPropagator, lindblad_evolve, top_level_population,
-                        LEAKAGE_WARN)
+from .evolution import HamiltonianPropagator, lindblad_evolve
 from .hilbert import partial_trace
 from .models import Interaction, ModelSpec, OSC_LABEL
 from .observables import DiagnosticsRecord, WignerGridSpec, diagnose
 from .states import InitialStateSpec
 
 CONVERGENCE_SHIFT_ATOL = 0.05
+LEAKAGE_WARN = 1e-6             # leakage above which a run raises its leakage flag
 DEFAULT_POINTS = 600
 TWO_PI = 2.0 * math.pi
 
@@ -411,12 +411,9 @@ def run_point(config: ScenarioConfig, propagators: dict | None = None) -> PointR
     max_by_cutoff = []
     for cutoff in config.ladder():
         records: list[DiagnosticsRecord] = []
-
-        def observe(state):
-            rho = partial_trace(state, OSC_LABEL)
-            records.append(diagnose(rho, top_level_population(state)))
-
-        taus, times, trajectory = _evolve(config, cutoff, None, observe, propagators)
+        taus, times, trajectory = _evolve(
+            config, cutoff, None,
+            lambda state: records.append(diagnose(partial_trace(state, OSC_LABEL))), propagators)
         max_by_cutoff.append(max(r.coherence for r in records))
     shift = (abs(max_by_cutoff[-1] - max_by_cutoff[-2])
              if len(max_by_cutoff) >= 2 else 0.0)
@@ -452,28 +449,35 @@ def _write_series_csv(path, taus, times, records) -> None:
             fh.write(f"{tau:.12g},{t:.12g}," + rec.csv_row() + "\n")
 
 
+def _readers(run: PointRun, points: int) -> tuple[Callable, Callable]:
+    """The run's reduced state and its Wigner snapshot (`wigner_snapshot` on
+    `points` per axis) as functions of tau, each evaluated once per distinct
+    tau."""
+    state = cache(run.trajectory)
+    return state, cache(lambda tau: wigner_snapshot(state(tau), points))
+
+
 def _diag_extras(config: ScenarioConfig, run: PointRun, outdir: str | None) -> dict:
     """Wigner grids at the half-max and max times and shell removal at the max
     time, from the run's trajectory; grid files are written only when an
     output directory is given."""
     info: dict = {}
     flags = config.diagnostics
-    for label in ("half", "max") if flags.wigner else ("max",) if flags.shell_removal else ():
-        rho = run.trajectory(getattr(run, f"tau_at_{label}"))
-        if flags.wigner:
-            grid_spec, grid, negativity = wigner_snapshot(rho, config.diagnostics.wigner_points)
-            if outdir:
-                observables.save_wigner_text(grid, os.path.join(outdir, f"wigner_{label}.txt"))
-                observables.save_wigner_csv(grid, os.path.join(outdir, f"wigner_{label}.csv"))
-            info[f"wigner_{label}"] = {
-                "normalization_integral": grid.normalization_integral,
-                "negativity_volume": negativity,
-                "extent": grid_spec.extent,
-            }
-        if flags.shell_removal and label == "max":
-            shelled = observables.remove_gaussian_shell(rho)
-            info["shell_removed_coherence"] = observables.coherence(shelled)
-            info["raw_coherence_at_max"] = observables.coherence(rho)
+    state, snapshot = _readers(run, flags.wigner_points)
+    for label in ("half", "max") if flags.wigner else ():
+        grid_spec, grid, negativity = snapshot(getattr(run, f"tau_at_{label}"))
+        if outdir:
+            observables.save_wigner_text(grid, os.path.join(outdir, f"wigner_{label}.txt"))
+            observables.save_wigner_csv(grid, os.path.join(outdir, f"wigner_{label}.csv"))
+        info[f"wigner_{label}"] = {
+            "normalization_integral": grid.normalization_integral,
+            "negativity_volume": negativity,
+            "extent": grid_spec.extent,
+        }
+    if flags.shell_removal:
+        shelled = observables.remove_gaussian_shell(state(run.tau_at_max))
+        info["shell_removed_coherence"] = observables.coherence(shelled)
+        info["raw_coherence_at_max"] = run.max_coherence
     return info
 
 
@@ -759,8 +763,8 @@ def _variant_report(config: ScenarioConfig, run: PointRun, neg_times: int) -> di
     times), from the run's trajectory."""
     tau_samples = [run.tau_at_half, run.tau_at_max] + np.linspace(
         run.tau_at_half, float(run.taus[-1]), neg_times).tolist()
-    negs = [wigner_snapshot(run.trajectory(tau), config.diagnostics.wigner_points)[2]
-            for tau in tau_samples]
+    snapshot = _readers(run, config.diagnostics.wigner_points)[1]
+    negs = [snapshot(tau)[2] for tau in tau_samples]
     report = {**run.headline(), "negativity_at_half": negs[0], "negativity_at_max": negs[1]}
     if neg_times > 0:
         report["negativity_samples"] = {"taus": tau_samples[2:], "volumes": negs[2:]}

@@ -134,7 +134,6 @@ class QuantumState:
 
     layout: SpaceLayout
     data: np.ndarray
-    trace_atol: float = TRACE_ATOL
 
     def __post_init__(self):
         n = self.layout.total_dim
@@ -143,7 +142,7 @@ class QuantumState:
             raise LayoutError(f"density matrix shape {d.shape} does not match "
                               f"layout dim ({n}, {n})")
         tr = np.trace(d)
-        if abs(tr - 1.0) > self.trace_atol:
+        if abs(tr - 1.0) > TRACE_ATOL:
             raise StateError(f"density matrix trace {tr!r} deviates from 1")
         herm_dev = np.max(np.abs(d - d.conj().T))
         if herm_dev > 100 * HERMITIAN_ATOL:
@@ -225,4 +224,4 @@ def partial_trace(state: QuantumState | KetEnsemble, keep: str):
     idx_bra = [i + nfac if i == axis else i for i in idx_bra]
     rho = np.einsum(rho_t, idx_ket + idx_bra, [axis, axis + nfac])
     rho = 0.5 * (rho + rho.conj().T)
-    return QuantumState(kept, rho, trace_atol=max(state.trace_atol, TRACE_ATOL))
+    return QuantumState(kept, rho)

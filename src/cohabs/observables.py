@@ -24,6 +24,7 @@ COHERENCE_FLOOR = -1e-10
 NORMALIZATION_ATOL = 0.02
 SHELL_RESIDUAL_ATOL = 1e-6
 SHELL_LEAKAGE_ATOL = 1e-4
+LEAKAGE_LEVELS = 5              # top Fock levels whose population is the leakage
 WIGNER_GATHER_BYTES = 1 << 20   # bound on each gathered block of wavefunction values
 
 
@@ -366,9 +367,10 @@ class DiagnosticsRecord:
             self.leakage))
 
 
-def diagnose(rho_osc, leakage: float = 0.0) -> DiagnosticsRecord:
+def diagnose(rho_osc) -> DiagnosticsRecord:
     """Full diagnostics bundle for an oscillator state: a density matrix or,
-    without ever forming rho, a KetEnsemble."""
+    without ever forming rho, a KetEnsemble.  The leakage is the population of
+    the top LEAKAGE_LEVELS Fock levels (all of them below that cutoff)."""
     entropy = _entropy_of(_spectrum(rho_osc))
     pops, mean_b, mean_b2 = _ladder_moments(rho_osc)
     coh = max(_entropy_of(pops) - entropy, 0.0)
@@ -378,7 +380,7 @@ def diagnose(rho_osc, leakage: float = 0.0) -> DiagnosticsRecord:
         coherence=coh, entropy=entropy, mean_n=mean_n, std_n=std_n,
         mean_x=float(means[0]), mean_p=float(means[1]),
         cov_xx=float(cov[0, 0]), cov_pp=float(cov[1, 1]), cov_xp=float(cov[0, 1]),
-        leakage=float(leakage))
+        leakage=float(pops[-LEAKAGE_LEVELS:].sum()))
 
 
 # ---------------------------------------------------------------------------

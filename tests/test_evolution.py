@@ -13,9 +13,9 @@ from cohabs.experiments import ScenarioConfig, ScheduleSpec, SwitchSegment, run_
 from cohabs.hilbert import KetEnsemble, QuantumState, SpaceLayout, parity_frame, partial_trace
 from cohabs.models import (Hamiltonian, Interaction, ModelSpec, build_hamiltonian,
                            dephasing_dissipator)
-from cohabs.observables import coherence
+from cohabs.observables import coherence, diagnose
 from cohabs.states import InitialStateSpec, make_state
-from cohabs.evolution import HamiltonianPropagator, lindblad_evolve, top_level_population
+from cohabs.evolution import HamiltonianPropagator, lindblad_evolve
 from conftest import random_density, random_ket, random_kets
 import oracles
 
@@ -732,5 +732,5 @@ class TestTopLevelPopulation:
     def test_counts_top_five_levels(self):
         s = two_body(cutoff=12)
         psi = fock_state(s, 8)
-        assert top_level_population(psi) == pytest.approx(1.0)
-        assert top_level_population(fock_state(s, 2)) == 0.0
+        assert diagnose(partial_trace(psi, "osc")).leakage == pytest.approx(1.0)
+        assert diagnose(partial_trace(fock_state(s, 2), "osc")).leakage == 0.0

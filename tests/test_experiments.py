@@ -137,14 +137,14 @@ class TestRunScenario:
         cfg = replace(dephased_config(shell_removal=True),
                       schedule=ScheduleSpec(tau_max=0.6, points=40))
         steps, marks, resumes = [], [], []
-        leakage, evolve = experiments.top_level_population, experiments.lindblad_evolve
+        diagnose, evolve = experiments.diagnose, experiments.lindblad_evolve
         # an attempt (step doubling) and an output state's partial step each count once
         for seam in ("attempt", "__call__"):
             monkeypatch.setattr(_StrangStep, seam, lambda self, sigma, h, run=getattr(
                 _StrangStep, seam): steps.append(h) or run(self, sigma, h))
         # the series' step count as each output state is observed
-        monkeypatch.setattr(experiments, "top_level_population",
-                            lambda state: marks.append(len(steps)) or leakage(state))
+        monkeypatch.setattr(experiments, "diagnose",
+                            lambda rho: marks.append(len(steps)) or diagnose(rho))
         monkeypatch.setattr(experiments, "lindblad_evolve",
                             lambda *a, **kw: resumes.append(kw.get("resume")) or evolve(*a, **kw))
         run = run_scenario(cfg)
@@ -305,19 +305,24 @@ class TestSnapshotRecords:
     """The snapshot states of a run are read from its trajectory, which a
     batch run keeps only when its config asks for them."""
 
-    @pytest.mark.parametrize("flags, expected", [
-        (DiagnosticsFlags(), set()),
-        (DiagnosticsFlags(wigner=True), {"half", "max"}),
-        (DiagnosticsFlags(shell_removal=True), {"max"}),
-    ])
-    def test_snapshots_kept_only_when_asked(self, flags, expected):
-        cfg = tiny_config(points=20, diagnostics=flags)
+    @pytest.mark.parametrize("flags, expected, schedule", [
+        (DiagnosticsFlags(), set(), ScheduleSpec(tau_max=1.0, points=20)),
+        (DiagnosticsFlags(wigner=True), {"half", "max"}, ScheduleSpec(tau_max=1.0, points=20)),
+        (DiagnosticsFlags(shell_removal=True), {"max"}, ScheduleSpec(tau_max=1.0, points=20)),
+        # one segment end: the half-max and max times coincide, and are read once
+        (DiagnosticsFlags(wigner=True, shell_removal=True), {"half", "max"},
+         ScheduleSpec(type="switch", segments=(SwitchSegment(1, 0.9),))),
+    ], ids=["none", "wigner", "shell-removal", "switch"])
+    def test_snapshots_kept_only_when_asked(self, flags, expected, schedule):
+        cfg = replace(tiny_config(diagnostics=flags), schedule=schedule)
         run = run_point(cfg)
         read, trajectory = [], run.trajectory
         run.trajectory = lambda tau: read.append(tau) or trajectory(tau)
-        experiments._diag_extras(cfg, run, None)
-        assert read == [getattr(run, f"tau_at_{label}") for label in ("half", "max")
-                        if label in expected]
+        info = experiments._diag_extras(cfg, run, None)
+        assert read == list(dict.fromkeys(getattr(run, f"tau_at_{label}")
+                                          for label in ("half", "max") if label in expected))
+        if run.tau_at_half == run.tau_at_max and flags.wigner:
+            assert info["wigner_half"] == info["wigner_max"]
         batch_run, = run_batch([(cfg, None)])
         assert (batch_run.trajectory is not None) == bool(expected)
 
@@ -596,6 +601,27 @@ class TestRobustnessSuite:
             robustness_suite(self.BASE, jobs=jobs, output_dir=str(tmp_path / f"jobs{jobs}"))
         assert (tmp_path / "jobs1" / "robustness.json").read_bytes() == \
             (tmp_path / "jobs2" / "robustness.json").read_bytes()
+
+    def test_each_sampled_tau_is_read_once(self, monkeypatch):
+        # the dephasing variant samples its half-max time twice, as the first
+        # negativity sample after it; its state and grid are made once
+        reads, run = {}, experiments.run_point
+
+        def reading(config, *args, **kw):
+            result = run(config, *args, **kw)
+            trajectory, taus = result.trajectory, reads.setdefault(config.hash(), [])
+            result.trajectory = lambda tau: taus.append(tau) or trajectory(tau)
+            return result
+
+        monkeypatch.setattr(experiments, "run_point", reading)
+        results = robustness_suite(self.BASE)
+        variants = small_variants(self.BASE)
+        for name, (cfg, samples) in variants.items():
+            report = results[name]
+            taus = [report["tau_at_half"], report["tau_at_max"]] + report.get(
+                "negativity_samples", {"taus": []})["taus"]
+            assert reads[cfg.hash()] == list(dict.fromkeys(taus)), name
+        assert len(reads[variants["dephasing"][0].hash()]) < 2 + variants["dephasing"][1]
 
     def test_every_run_is_in_the_batch(self, monkeypatch):
         # the seven variants and the reference, each run once

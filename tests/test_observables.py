@@ -8,8 +8,8 @@ from scipy.integrate import quad
 
 from cohabs import observables
 from cohabs.errors import ShellRemovalError, StateError
-from cohabs.evolution import HamiltonianPropagator, top_level_population
-from cohabs.hilbert import KetEnsemble, QuantumState, SpaceLayout, partial_trace
+from cohabs.evolution import HamiltonianPropagator
+from cohabs.hilbert import KetEnsemble, QuantumState, SpaceLayout, abs2, partial_trace
 from cohabs.models import Interaction, ModelSpec, build_hamiltonian
 from cohabs.observables import (WignerGrid, WignerGridSpec,
                                 coherence, diagnose, excitation_stats,
@@ -20,7 +20,7 @@ from cohabs.observables import (WignerGrid, WignerGridSpec,
                                 wigner_values)
 from cohabs.states import (InitialStateSpec, coherent_amplitudes, make_state,
                            thermal_populations)
-from conftest import random_density, random_ket
+from conftest import random_density, random_ket, random_kets
 
 
 def fock_dm(n, dim):
@@ -48,6 +48,16 @@ def direct_wigner(rho, x, p):
                      * eval_genlaguerre(n, m - n, big_b))
             total += rho[m, n] * (-1) ** m * d
     return total.real / math.pi
+
+
+def top_level_population(state) -> float:
+    """The reference leakage: the population of the top 5 oscillator levels,
+    summed over the whole composite space of a KetEnsemble or QuantumState."""
+    axis, dims = state.layout.axis("osc"), state.layout.dims
+    probs = (abs2(state.kets).sum(axis=1) if isinstance(state, KetEnsemble)
+             else np.real(np.diagonal(state.data)))
+    pops = probs.reshape(dims).sum(axis=tuple(i for i in range(len(dims)) if i != axis))
+    return float(pops[-min(5, dims[axis]):].sum())
 
 
 def superpose(dim, *pairs):
@@ -142,7 +152,7 @@ class TestMoments:
 
     def test_diagnose_bundle(self, rng):
         rho = random_density(rng, 8)
-        rec = diagnose(rho, leakage=1e-9)
+        rec = diagnose(rho)
         assert rec.coherence >= 0.0
         assert rec.std_n >= 0.0
         assert rec.cov_xx * rec.cov_pp - rec.cov_xp ** 2 >= 0.25 - 1e-9
@@ -454,13 +464,37 @@ class TestEnsembleDiagnostics:
         state0 = self.initial_state(spec.layout(), kind, rng)
         prop = HamiltonianPropagator(h)
         ens = prop.state_at(prop.expand(state0), t)
-        got = diagnose(partial_trace(ens, "osc"), top_level_population(ens))
+        got = diagnose(partial_trace(ens, "osc"))
         u = scipy.linalg.expm(-1j * t * h.entries)
         dense = QuantumState(spec.layout(), u @ state0.density() @ u.conj().T)
         want = self.dense_record(partial_trace(dense, "osc").data,
                                  top_level_population(dense))
         for field in self.FIELDS:
             assert getattr(got, field) == pytest.approx(want[field], abs=1e-12), field
+
+    @pytest.mark.parametrize("kind", ["real kets", "complex kets", "density"])
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(interactions=(Interaction(1, 1.0),), cutoff=9),
+        ModelSpec(interactions=(Interaction(1, 1.0),), cutoff=3),
+        ModelSpec(interactions=(Interaction(1, 1.0),), cutoff=7, pump=1.2, pump_dim=4),
+        ModelSpec(interactions=(Interaction(1, 1.0),), cutoff=8, absorber="oscillator",
+                  absorber_dim=4),
+    ], ids=["qubit", "qubit-cutoff-3", "pumped", "mixer"])
+    def test_leakage_is_the_top_level_population(self, spec, kind, rng):
+        # read from the reduced state, it is the full-space population of the
+        # top 5 oscillator levels (of all of them below a cutoff of 5)
+        layout = spec.layout()
+        dim = layout.total_dim
+        if kind == "density":
+            state = QuantumState(layout, random_density(rng, dim))
+        else:
+            kets = random_kets(rng, dim, 3)
+            state = KetEnsemble(layout, kets.real / np.linalg.norm(kets.real)
+                                if kind == "real kets" else kets)
+        got = diagnose(partial_trace(state, "osc")).leakage
+        assert got == pytest.approx(top_level_population(state), abs=1e-15)
+        if spec.cutoff < 5:
+            assert got == pytest.approx(1.0, abs=1e-15)
 
     def test_fock_input_has_exactly_zero_spread_at_zero_time(self):
         spec = ModelSpec(interactions=(Interaction(1, 1.0), Interaction(2, 0.1)),
