@@ -449,21 +449,16 @@ def _write_series_csv(path, taus, times, records) -> None:
             fh.write(f"{tau:.12g},{t:.12g}," + rec.csv_row() + "\n")
 
 
-def _readers(run: PointRun, points: int) -> tuple[Callable, Callable]:
-    """The run's reduced state and its Wigner snapshot (`wigner_snapshot` on
-    `points` per axis) as functions of tau, each evaluated once per distinct
-    tau."""
-    state = cache(run.trajectory)
-    return state, cache(lambda tau: wigner_snapshot(state(tau), points))
-
-
 def _diag_extras(config: ScenarioConfig, run: PointRun, outdir: str | None) -> dict:
     """Wigner grids at the half-max and max times and shell removal at the max
     time, from the run's trajectory; grid files are written only when an
     output directory is given."""
     info: dict = {}
     flags = config.diagnostics
-    state, snapshot = _readers(run, flags.wigner_points)
+    # one state and one grid per distinct tau: a switch run's half-max and
+    # max times often coincide at one segment end
+    state = cache(run.trajectory)
+    snapshot = cache(lambda tau: wigner_snapshot(state(tau), flags.wigner_points))
     for label in ("half", "max") if flags.wigner else ():
         grid_spec, grid, negativity = snapshot(getattr(run, f"tau_at_{label}"))
         if outdir:
@@ -763,8 +758,9 @@ def _variant_report(config: ScenarioConfig, run: PointRun, neg_times: int) -> di
     times), from the run's trajectory."""
     tau_samples = [run.tau_at_half, run.tau_at_max] + np.linspace(
         run.tau_at_half, float(run.taus[-1]), neg_times).tolist()
-    snapshot = _readers(run, config.diagnostics.wigner_points)[1]
-    negs = [snapshot(tau)[2] for tau in tau_samples]
+    negativity = {tau: wigner_snapshot(run.trajectory(tau), config.diagnostics.wigner_points)[2]
+                  for tau in dict.fromkeys(tau_samples)}
+    negs = [negativity[tau] for tau in tau_samples]
     report = {**run.headline(), "negativity_at_half": negs[0], "negativity_at_max": negs[1]}
     if neg_times > 0:
         report["negativity_samples"] = {"taus": tau_samples[2:], "volumes": negs[2:]}

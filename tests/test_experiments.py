@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from cohabs import experiments
+from cohabs import experiments, observables
 from cohabs.errors import ConfigError
 from cohabs.evolution import CHECKPOINTS, HamiltonianPropagator, _StrangStep
 from cohabs.hilbert import KetEnsemble, partial_trace
@@ -121,6 +121,7 @@ class TestRunScenario:
                                   diagnostics=DiagnosticsFlags(shell_removal=True)),
                       initial=initial)
         run = run_scenario(cfg)
+        assert observables.coherence(run.trajectory(run.tau_at_max)) == run.max_coherence
         assert run.extras["raw_coherence_at_max"] == run.max_coherence
 
     def test_dephased_snapshot_matches_series(self):
@@ -128,6 +129,7 @@ class TestRunScenario:
                           diagnostics=DiagnosticsFlags(shell_removal=True))
         cfg = replace(cfg, model=replace(cfg.model, dephasing_rate=0.05))
         run = run_scenario(cfg)
+        assert observables.coherence(run.trajectory(run.tau_at_max)) == run.max_coherence
         assert run.extras["raw_coherence_at_max"] == run.max_coherence
 
     def test_dephased_run_integrates_once(self, monkeypatch):
