@@ -8,16 +8,16 @@ take and give `KetEnsemble`s, held in the absorber-parity frame (see
 `hilbert`): a mixed input that is diagonal in the Fock basis costs one column
 per nonzero population, never a dense density matrix.
 
-When H has no free or detuning terms, every term raises or lowers the
-absorber by one quantum, so H only couples even to odd absorber levels.
-Such a chiral H is decomposed through the SVD of its half-size coupling
-block, taken one connected block at a time where a conserved quantity splits
-it, and in the parity frame it generates a real orthogonal map: a real input
-(every Fock-diagonal input, and a coherent input or pump at a real amplitude)
-stays real at every time, and its products, partial traces and diagnostics
-run in real arithmetic.  Any other H (free or detuning terms, an
-absorber of odd dimension) goes through a dense `eigh` and complex phases,
-its kets moved out of the frame and back by exact multiplications by +-i.
+When H has no free terms, every term raises or lowers the absorber by one
+quantum, so H only couples even to odd absorber levels.  Such a chiral H is
+decomposed through the SVD of its half-size coupling block, taken one
+connected block at a time where a conserved quantity splits it, and in the
+parity frame it generates a real orthogonal map: a real input (every
+Fock-diagonal input, and a coherent input or pump at a real amplitude) stays
+real at every time, and its products, partial traces and diagnostics run in
+real arithmetic.  Any other H (free terms, an absorber of odd dimension)
+goes through a dense `eigh` and complex phases, its kets moved out of the
+frame and back by exact multiplications by +-i.
 
 The master equation evolves the dense density matrix in the storage basis,
 held as one real matrix (in the parity frame for a chiral H, where the
@@ -292,7 +292,7 @@ class _StrangStep:
 
 
 def lindblad_evolve(hamiltonian: Hamiltonian, jumps, rho0: QuantumState | KetEnsemble,
-                    times, tol: float = 1e-8, observer=None,
+                    times, tol: float, observer=None,
                     resume: EvolutionResult | None = None) -> EvolutionResult:
     """Integrate the master equation with adaptive Strang splitting, for the
     jump operators whose real diagonals `jumps` holds (see

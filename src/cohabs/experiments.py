@@ -388,11 +388,8 @@ def oscillator_states(config: ScenarioConfig, taus) -> list:
     (rho = Phi Phi^dag), dephased runs density matrices; every function in
     `observables` takes either."""
     grid = sorted({float(tau) for tau in taus})
-    rhos = []
-    _evolve(config, config.ladder()[-1], grid,
-            lambda state: rhos.append(partial_trace(state, OSC_LABEL)), {})
-    lookup = dict(zip(grid, rhos))
-    return [lookup[float(tau)] for tau in taus]
+    *_, trajectory = _evolve(config, config.ladder()[-1], grid, lambda state: None, {})
+    return [trajectory(float(tau)) for tau in taus]
 
 
 def wigner_snapshot(rho, points: int):
@@ -570,13 +567,11 @@ def _pump(b) -> complex:
 def _ignoring(config: ScenarioConfig, axis: str) -> str | None:
     """What in the config leaves the sweep axis without effect, or None: n and
     p need an input that reads n, G an interaction of order 1 and one of
-    another order, omega a model without the detuning that replaces it."""
+    another order."""
     if axis in ("n", "p") and config.initial.kind not in ("fock", "admixture"):
         return f"a {config.initial.kind} input"
     if axis == "G" and {it.order == 1 for it in config.model.interactions} != {True, False}:
         return "a model without interactions of order 1 and of another order"
-    if axis == "omega" and config.model.Delta is not None:
-        return "a detuned model, whose Delta replaces omega"
     return None
 
 

@@ -41,7 +41,6 @@ from .errors import DimensionError, LayoutError, StateError
 HERMITIAN_ATOL = 1e-12
 NORM_ATOL = 1e-10
 TRACE_ATOL = 1e-10
-PSD_ATOL = 1e-9
 ABSORBER_LABEL = "absorber"
 
 
@@ -87,10 +86,7 @@ class SpaceLayout:
         return int(np.prod(self.dims))
 
     def dim(self, label: str) -> int:
-        for lab, d in self.factors:
-            if lab == label:
-                return d
-        raise LayoutError(f"unknown factor label {label!r}; have {self.labels}")
+        return self.dims[self.axis(label)]
 
     def axis(self, label: str) -> int:
         for i, (lab, _) in enumerate(self.factors):
@@ -114,7 +110,7 @@ def parity_frame(layout: SpaceLayout, kets: np.ndarray, inverse: bool = False) -
     return out
 
 
-def check_positive(rho: np.ndarray, atol: float = PSD_ATOL) -> float:
+def check_positive(rho: np.ndarray, atol: float) -> float:
     """The smallest eigenvalue of the Hermitian `rho`; StateError below -atol."""
     lam = float(np.linalg.eigvalsh(rho)[0])
     if lam < -atol:
@@ -127,9 +123,8 @@ class QuantumState:
     """Density matrix on a composite space: the state of a dephased run.
 
     Cheap invariants (trace / hermiticity) are validated on construction.
-    Positivity needs an eigendecomposition and is validated on demand via
-    :meth:`validate_positive`; the master-equation integrator calls the same
-    `check_positive` on each output point, in its own frame.
+    Positivity needs an eigendecomposition: the master-equation integrator
+    calls `check_positive` on each output point, in its own frame.
     """
 
     layout: SpaceLayout
@@ -151,10 +146,6 @@ class QuantumState:
 
     def density(self) -> np.ndarray:
         return np.asarray(self.data)
-
-    def validate_positive(self, atol: float = PSD_ATOL) -> float:
-        """Check the smallest eigenvalue of the density matrix; returns it."""
-        return check_positive(self.density(), atol)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,6 @@ class ModelSpec:
     absorber_dim: int = 2
     omega: float = 0.0                      # oscillator frequency
     Omega: float = 0.0                      # absorber frequency
-    Delta: float | None = None              # detuning; replaces omega term by -Delta*n
     nu: float | None = None                 # pump-mode frequency (three-mode model)
     dephasing_rate: float = 0.0
     pump: complex | None = None             # pump amplitude; presence adds a third factor
@@ -176,13 +175,13 @@ def _interaction(k: int, g: float, spec: ModelSpec) -> list:
                               PUMP_LABEL: _ladder(spec.effective_pump_dim())})
 
 
-def _free(omega: float, Omega: float, spec: ModelSpec) -> list:
+def _free(spec: ModelSpec) -> list:
     """omega b^dag b + ((Omega/2) sigma_z or Omega a^dag a) + nu on the pump."""
     if spec.absorber == "qubit":
-        h_abs = _diagonal([-0.5 * Omega, 0.5 * Omega])
+        h_abs = _diagonal([-0.5 * spec.Omega, 0.5 * spec.Omega])
     else:
-        h_abs = _number(spec.absorber_dim, Omega)
-    terms = [_kron(spec, {OSC_LABEL: _number(spec.cutoff, omega)}),
+        h_abs = _number(spec.absorber_dim, spec.Omega)
+    terms = [_kron(spec, {OSC_LABEL: _number(spec.cutoff, spec.omega)}),
              _kron(spec, {ABSORBER_LABEL: h_abs})]
     if spec.has_pump and spec.nu:
         terms.append(_kron(spec, {PUMP_LABEL: _number(spec.effective_pump_dim(), spec.nu)}))
@@ -215,8 +214,7 @@ class Hamiltonian:
 def build_hamiltonian(spec: ModelSpec) -> Hamiltonian:
     """Full Hamiltonian for the spec: free part plus every listed interaction,
     added into one dense real array."""
-    omega = -spec.Delta if spec.Delta is not None else spec.omega
-    terms = _free(omega, spec.Omega, spec)
+    terms = _free(spec)
     for it in spec.interactions:
         terms += _interaction(it.order, it.coupling, spec)
     return Hamiltonian(spec.layout(), _dense(spec, terms))

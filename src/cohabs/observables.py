@@ -86,10 +86,7 @@ def von_neumann_entropy(rho) -> float:
 
 def coherence(rho) -> float:
     """Relative entropy of coherence in the Fock basis: S(diag) - S(rho)."""
-    value = _entropy_of(_populations(rho)) - von_neumann_entropy(rho)
-    if value < COHERENCE_FLOOR:
-        raise StateError(f"coherence {value!r} below the numerical floor")
-    return max(value, 0.0)
+    return diagnose(rho).coherence
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +366,18 @@ class DiagnosticsRecord:
 
 def diagnose(rho_osc) -> DiagnosticsRecord:
     """Full diagnostics bundle for an oscillator state: a density matrix or,
-    without ever forming rho, a KetEnsemble.  The leakage is the population of
-    the top LEAKAGE_LEVELS Fock levels (all of them below that cutoff)."""
+    without ever forming rho, a KetEnsemble.  A coherence below COHERENCE_FLOOR
+    raises StateError, and a negative one above it reads 0.  The leakage is the
+    population of the top LEAKAGE_LEVELS Fock levels (all below that cutoff)."""
     entropy = _entropy_of(_spectrum(rho_osc))
     pops, mean_b, mean_b2 = _ladder_moments(rho_osc)
-    coh = max(_entropy_of(pops) - entropy, 0.0)
+    coh = _entropy_of(pops) - entropy
+    if coh < COHERENCE_FLOOR:
+        raise StateError(f"coherence {coh!r} below the numerical floor")
     mean_n, std_n = _number_stats(pops)
     means, cov = _quadratures(pops, mean_b, mean_b2)
     return DiagnosticsRecord(
-        coherence=coh, entropy=entropy, mean_n=mean_n, std_n=std_n,
+        coherence=max(coh, 0.0), entropy=entropy, mean_n=mean_n, std_n=std_n,
         mean_x=float(means[0]), mean_p=float(means[1]),
         cov_xx=float(cov[0, 0]), cov_pp=float(cov[1, 1]), cov_xp=float(cov[0, 1]),
         leakage=float(pops[-LEAKAGE_LEVELS:].sum()))

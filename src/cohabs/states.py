@@ -48,11 +48,7 @@ class InitialStateSpec:
 # single-factor building blocks
 
 def thermal_populations(nbar: float, dim: int) -> np.ndarray:
-    """Geometric Fock distribution, renormalized after truncation."""
-    if nbar == 0.0:
-        pops = np.zeros(dim)
-        pops[0] = 1.0
-        return pops
+    """Geometric Fock distribution, renormalized after truncation; |0> at nbar 0."""
     q = nbar / (nbar + 1.0)
     tail = q ** dim            # exact mass beyond the cutoff
     if tail > TAIL_MASS_ATOL:
@@ -107,28 +103,22 @@ def _diagonal_kets(pops: np.ndarray) -> np.ndarray:
 
 def oscillator_state(spec: InitialStateSpec, dim: int) -> np.ndarray:
     """Single-factor ket columns (dim, K): one for a pure state, one per
-    nonzero population for a state diagonal in the Fock basis."""
-    if spec.kind in ("fock", "ground"):
-        n = spec.n if spec.kind == "fock" else 0
-        if n >= dim:
-            raise TruncationError(f"Fock index {n} does not fit cutoff {dim}")
-        pops = np.zeros(dim)
-        pops[n] = 1.0
-        return _diagonal_kets(pops)
+    nonzero population for a state diagonal in the Fock basis, such as the
+    admixture p|0><0| + (1 - p)|n><n| (fock: p = 0; ground: n = 0)."""
     if spec.kind == "coherent":
         return coherent_amplitudes(spec.beta, dim)[:, None]
     if spec.kind == "thermal":
         return _diagonal_kets(thermal_populations(spec.nbar, dim))
     if spec.kind == "phase_randomized_coherent":
         return _diagonal_kets(poisson_populations(spec.nbar, dim))
-    if spec.kind == "admixture":
-        if spec.n >= dim:
-            raise TruncationError(f"Fock index {spec.n} does not fit cutoff {dim}")
-        pops = np.zeros(dim)
-        pops[0] += spec.p
-        pops[spec.n] += 1.0 - spec.p
-        return _diagonal_kets(pops)
-    raise ConfigError(f"unknown kind {spec.kind!r}")
+    n = 0 if spec.kind == "ground" else spec.n
+    p = spec.p if spec.kind == "admixture" else 0.0
+    if n >= dim:
+        raise TruncationError(f"Fock index {n} does not fit cutoff {dim}")
+    pops = np.zeros(dim)
+    pops[0] += p
+    pops[n] += 1.0 - p
+    return _diagonal_kets(pops)
 
 
 # ---------------------------------------------------------------------------

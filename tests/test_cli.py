@@ -58,12 +58,13 @@ class TestDispatch:
         assert summary["max_coherence"] > 0
 
     def test_switch_runs_on_the_configured_model(self, capsys):
-        # segments keep the model's free terms, detuning, dephasing and absorber
+        # segments keep the model's free terms, detuning (a negative omega),
+        # dephasing and absorber
         argv = ["switch", "--config", str(CONFIGS / "fig2.json"),
                 "--set", "model.cutoff=20", "--set", "cutoff_ladder=[20]"]
         _, plain = run_json(capsys, argv)
         for pairs in (["model.omega=0.5", "model.Omega=0.5"], ["model.dephasing_rate=0.5"],
-                      ["model.Delta=0.7"], ["model.absorber=oscillator",
+                      ["model.omega=-0.7"], ["model.absorber=oscillator",
                                             "model.absorber_dim=4"]):
             code, summary = run_json(capsys, argv + [a for p in pairs for a in ("--set", p)])
             assert code == 0, pairs
@@ -246,19 +247,19 @@ class TestOverridesAndDryRun:
         assert patched["max_coherence"] != base["max_coherence"]
 
     def test_override_reaches_fields_the_document_leaves_out(self, capsys):
-        # fig1 leaves out Delta (None), the qubit's unread absorber_dim and the
+        # fig1 leaves out nu (None), the qubit's unread absorber_dim and the
         # Fock input's unread nbar; each is still a field that --set can reach
         fig1 = str(CONFIGS / "fig1.json")
         code, payload = run_json(capsys, ["evolve", "--config", fig1, "--dry-run",
-                                          "--set", "model.Delta=0.5"])
+                                          "--set", "model.nu=0.5"])
         assert code == 0
-        assert payload["resolved_config"]["model"]["Delta"] == 0.5
+        assert payload["resolved_config"]["model"]["nu"] == 0.5
         for pair in ("model.absorber_dim=4", "initial.nbar=2"):
             assert dispatch(["evolve", "--config", fig1, "--dry-run", "--set", pair]) == 0
         capsys.readouterr()
         assert dispatch(["evolve", "--config", fig1, "--dry-run",
-                         "--set", "model.Deltaa=1"]) == 2
-        assert "'model.Deltaa' does not exist" in capsys.readouterr().err
+                         "--set", "model.Delta=1"]) == 2
+        assert "'model.Delta' does not exist" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -347,15 +348,11 @@ class TestExitCodes:
         (dict(model={"interactions": [[2, 0.1]], "cutoff": 20},
               sweep={"n": [2], "G": [0.1, 1.0]}),
          "G", "a model without interactions of order 1 and of another order"),
-        (dict(model={"interactions": [[1, 1.0], [2, 0.1]], "cutoff": 20, "Delta": 0.5},
-              sweep={"omega": [0.0, 0.1], "Omega": [0.0]}),
-         "omega", "a detuned model"),
-    ], ids=["thermal-n", "thermal-p", "ground-n", "G-linear-only", "G-no-linear",
-            "omega-detuned"])
+    ], ids=["thermal-n", "thermal-p", "ground-n", "G-linear-only", "G-no-linear"])
     def test_sweep_axis_the_config_ignores_exits_2(self, tmp_path, capsys, changes, axis,
                                                    what):
         # a thermal input reads no n and the p axis would replace it; G scales
-        # no coupling without orders 1 and k > 1; Delta replaces omega
+        # no coupling without orders 1 and k > 1
         argv = ["sweep", "--config", write_config(tmp_path, tiny_doc(**changes))]
         for extra in (["--dry-run"], []):
             assert dispatch(argv + extra) == 2
@@ -404,8 +401,8 @@ class TestDocumentRejections:
 
     @pytest.mark.parametrize("document, key", [
         (None, "lindblad_tl"), ("model", "dephasing_rat"), ("initial", "nbr"),
-        ("schedule", "point"), ("diagnostics", "wigner_point"),
-    ], ids=["top-level", "model", "initial", "schedule", "diagnostics"])
+        ("schedule", "point"), ("diagnostics", "wigner_point"), ("model", "Delta"),
+    ], ids=["top-level", "model", "initial", "schedule", "diagnostics", "model-Delta"])
     def test_unknown_key(self, tmp_path, capsys, document, key):
         doc = tiny_doc(diagnostics={"wigner": False})
         (doc if document is None else doc[document])[key] = 0.1

@@ -248,10 +248,10 @@ class TestHamiltonianPropagator:
         assert np.max(np.abs(prop.state_at(ground, 3.7).kets - ground.kets)) < 1e-12
 
     @pytest.mark.parametrize("kw, level", [
-        (dict(omega=0.5), None), (dict(Omega=0.5), None), (dict(Delta=0.5), None),
+        (dict(omega=0.5), None), (dict(Omega=0.5), None),
         (dict(pump=0j, pump_dim=3, nu=0.5), None),
         (dict(absorber="oscillator", absorber_dim=3), None),
-        (dict(), 0), (dict(), 6)], ids=["omega", "Omega", "Delta", "nu", "odd", "g0", "e0"])
+        (dict(), 0), (dict(), 6)], ids=["omega", "Omega", "nu", "odd", "g0", "e0"])
     def test_non_chiral_models_use_dense_eigh(self, kw, level):
         h = build_hamiltonian(two_body(cutoff=6, **kw))
         if level is not None:       # one diagonal entry on an even or an odd absorber level
@@ -424,7 +424,7 @@ class TestSequentialSwitch:
         assert len(run.records) == 3
 
     @pytest.mark.parametrize("changes", [
-        dict(omega=0.5, Omega=0.5), dict(Delta=0.7, Omega=0.3),
+        dict(omega=0.5, Omega=0.5), dict(omega=-0.7, Omega=0.3),
         dict(absorber="oscillator", absorber_dim=3, Omega=0.5)],
         ids=["free", "Delta", "oscillator"])
     def test_segments_keep_the_configured_model(self, changes):
@@ -570,13 +570,13 @@ class TestLindblad:
         s, h, jumps = self.small(cutoff=6)
         rho0 = QuantumState(s.layout(), random_density(rng, s.layout().total_dim))
         with pytest.raises(StateError):
-            lindblad_evolve(h, jumps, rho0, [-0.1, 1.0])
+            lindblad_evolve(h, jumps, rho0, [-0.1, 1.0], tol=1e-8)
 
     def test_rejects_decreasing_output_times(self, rng):
         s, h, jumps = self.small(cutoff=6)
         rho0 = QuantumState(s.layout(), random_density(rng, s.layout().total_dim))
         with pytest.raises(StateError, match="0.2 follows 0.5"):
-            lindblad_evolve(h, jumps, rho0, [0.0, 0.5, 0.2])
+            lindblad_evolve(h, jumps, rho0, [0.0, 0.5, 0.2], tol=1e-8)
 
     def test_rejects_repeated_output_times_before_integrating(self, rng, monkeypatch):
         s, h, jumps = self.small(cutoff=6)
@@ -585,7 +585,7 @@ class TestLindblad:
             monkeypatch.setattr(evolution._StrangStep, seam,
                                 lambda *args: pytest.fail("integrated before the check"))
         with pytest.raises(StateError, match="0.1 follows 0.1"):
-            lindblad_evolve(h, jumps, rho0, [0.1, 0.1])
+            lindblad_evolve(h, jumps, rho0, [0.1, 0.1], tol=1e-8)
 
     def test_positivity_error_names_output_time(self):
         # a trace-1 Hermitian input with eigenvalues (1.2, -0.2) trips at t = 0
@@ -593,7 +593,7 @@ class TestLindblad:
         dim = s.layout().total_dim
         rho0 = QuantumState(s.layout(), np.diag([1.2, -0.2] + [0.0] * (dim - 2)))
         with pytest.raises(StateError, match=r"eigenvalue .*\(output time: 0\)"):
-            lindblad_evolve(h, jumps, rho0, [0.0, 0.5])
+            lindblad_evolve(h, jumps, rho0, [0.0, 0.5], tol=1e-8)
 
     def test_accepts_vector_initial_state(self):
         s, h, jumps = self.small()
@@ -684,16 +684,16 @@ class TestLindblad:
 @st.composite
 def non_chiral_models(draw):
     """Small models whose H also couples absorber levels of one parity: a
-    free oscillator term, a detuning, or an oscillator absorber of odd
-    dimension."""
+    free oscillator term of either sign (a negative one is a detuning), or
+    an oscillator absorber of odd dimension."""
     kw = dict(interactions=(Interaction(1, draw(st.floats(-2.0, 2.0))),
                             Interaction(2, draw(st.floats(-2.0, 2.0)))),
               cutoff=draw(st.integers(3, 8)))
-    kind = draw(st.sampled_from(["omega", "Delta", "odd"]))
+    kind = draw(st.sampled_from(["omega", "detuning", "odd"]))
     if kind == "odd":
         kw.update(absorber="oscillator", absorber_dim=draw(st.sampled_from([3, 5])))
     else:
-        kw[kind] = draw(st.floats(0.1, 2.0))
+        kw["omega"] = draw(st.floats(0.1, 2.0)) * (-1.0 if kind == "detuning" else 1.0)
     return ModelSpec(**kw)
 
 

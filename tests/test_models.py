@@ -28,13 +28,13 @@ def ge_index(q, n, cutoff):
 def one_term(k, g, s):
     """The order-k interaction of the spec's model alone, without free motion."""
     return build_hamiltonian(replace(s, interactions=(Interaction(k, g),), omega=0.0,
-                                     Omega=0.0, Delta=None, nu=None))
+                                     Omega=0.0, nu=None))
 
 
 def free_part(omega, Omega, s):
     """omega b^dag b + the absorber's free term, every coupling zero."""
     return build_hamiltonian(replace(s, interactions=(Interaction(1, 0.0),), omega=omega,
-                                     Omega=Omega, Delta=None)).entries
+                                     Omega=Omega)).entries
 
 
 def excitation_number(k, s):
@@ -54,12 +54,11 @@ def hand_built(s):
             out = np.kron(out, ops.get(label, np.eye(dim)))
         return out
 
-    omega = -s.Delta if s.Delta is not None else s.omega
     if s.absorber == "qubit":
         h_abs = np.diag([-0.5 * s.Omega, 0.5 * s.Omega])
     else:
         h_abs = np.diag(s.Omega * np.arange(float(s.absorber_dim)))
-    h = lift(osc=np.diag(omega * np.arange(float(s.cutoff)))) + lift(absorber=h_abs)
+    h = lift(osc=np.diag(s.omega * np.arange(float(s.cutoff)))) + lift(absorber=h_abs)
     if s.has_pump and s.nu:
         h = h + lift(pump=np.diag(s.nu * np.arange(float(s.effective_pump_dim()))))
     raising = oracles.lowering(s.layout().dim("absorber")).T     # sigma+ or a^dag
@@ -76,13 +75,13 @@ def hand_built(s):
 SPECS = [
     spec(),
     spec(omega=0.3, Omega=-0.7),
-    spec(Delta=0.5, omega=2.0, Omega=1.1),
+    spec(omega=-0.5, Omega=1.1),            # a detuning of 0.5
     spec(interactions=(Interaction(3, 0.05), Interaction(1, -1.0)), omega=0.1),
     spec(absorber="oscillator", absorber_dim=4, omega=0.2, Omega=0.4),
-    spec(absorber="oscillator", absorber_dim=3, Delta=-0.3,
+    spec(absorber="oscillator", absorber_dim=3, omega=0.3,
          interactions=(Interaction(1, 1.0), Interaction(2, 0.1), Interaction(3, 0.02))),
     spec(pump=1.5 + 0j, pump_dim=5, cutoff=6, omega=0.2, Omega=0.3),
-    spec(pump=0.5 - 1.0j, pump_dim=4, cutoff=6, nu=0.3, Delta=0.1),
+    spec(pump=0.5 - 1.0j, pump_dim=4, cutoff=6, nu=0.3, omega=-0.1),
     spec(pump=2.0 + 0j, pump_dim=4, cutoff=5, interactions=(Interaction(2, 0.4),)),
 ]
 SPEC_IDS = ["qubit", "free", "Delta", "order3", "oscillator", "oscillator-order3",
@@ -191,7 +190,7 @@ class TestCommutatorResidual:
 
 class TestDetunedModel:
     def test_reduced_state_stays_diagonal(self):
-        s = spec(cutoff=14, Delta=0.7, Omega=1.3, interactions=(Interaction(1, 1.0),))
+        s = spec(cutoff=14, omega=-0.7, Omega=1.3, interactions=(Interaction(1, 1.0),))
         prop = HamiltonianPropagator(build_hamiltonian(s))
         psi0 = prop.expand(states.make_state(states.InitialStateSpec("fock", n=5), s.layout()))
         for t in np.linspace(0.0, 8.0, 9):
@@ -289,7 +288,7 @@ class TestBuildHamiltonian:
     @staticmethod
     def term_sum(s):
         """The free part (every coupling zero) plus each interaction alone."""
-        h = free_part(-s.Delta if s.Delta is not None else s.omega, s.Omega,
+        h = free_part(s.omega, s.Omega,
                       replace(s, interactions=tuple(Interaction(it.order, 0.0)
                                                     for it in s.interactions)))
         for it in s.interactions:

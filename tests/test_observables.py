@@ -109,6 +109,16 @@ class TestCoherence:
             rho = random_density(rng, dim)
             assert coherence(rho) <= math.log(dim) + 1e-9
 
+    @pytest.mark.parametrize("read", [diagnose, coherence], ids=["diagnose", "coherence"])
+    def test_floor_guards_the_series(self, monkeypatch, read):
+        # populations (1/2, 1/2, 0, 0) against a flat four-level spectrum give
+        # S(diag) - S(rho) = ln 2 - ln 4, far below COHERENCE_FLOOR: the series
+        # (`diagnose`) must raise as `coherence` does, not clamp it to 0
+        rho = KetEnsemble(SpaceLayout.single("osc", 4), math.sqrt(0.5) * np.eye(4)[:, :2])
+        monkeypatch.setattr(observables, "_spectrum", lambda rho: np.full(4, 0.25))
+        with pytest.raises(StateError, match="below the numerical floor"):
+            read(rho)
+
 
 class TestMoments:
     def test_fock_excitation_stats(self):

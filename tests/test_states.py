@@ -34,6 +34,22 @@ class TestFactories:
         assert st1.density()[0, 0] == pytest.approx(1.0)
         assert np.trace(st1.density()).real == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("spec, same", [
+        (InitialStateSpec("admixture", n=3, p=0.0), InitialStateSpec("fock", n=3)),
+        (InitialStateSpec("fock", n=0), InitialStateSpec("ground")),
+        (InitialStateSpec("thermal", nbar=0.0), InitialStateSpec("ground")),
+        (InitialStateSpec("admixture", n=3, p=1.0), InitialStateSpec("ground")),
+        (InitialStateSpec("ground", n=2), InitialStateSpec("ground")),
+        (InitialStateSpec("fock", n=3, p=0.25), InitialStateSpec("fock", n=3)),
+    ], ids=["admixture-p0-is-fock", "fock0-is-ground", "thermal0-is-ground",
+            "admixture-p1-is-ground", "ground-ignores-n", "fock-ignores-p"])
+    def test_equivalent_inputs_are_bit_identical(self, spec, same):
+        # fock, ground and admixture share one builder, and the thermal
+        # populations reach |0> at nbar = 0 through q ** 0 = 1
+        got, want = oscillator_state(spec, 8), oscillator_state(same, 8)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+
     def test_thermal_mean_occupation(self):
         pops = thermal_populations(7.0, 120)
         mean = float(np.arange(120) @ pops)
