@@ -26,7 +26,7 @@ the true frame.  It is integrated by an adaptive Strang splitting: every step
 composes the exact dissipative semigroup of real jump operators diagonal in
 the storage basis (an elementwise factor) with the exact unitary, so every
 step is a CPTP map and the state stays positive at any tolerance.  A run
-keeps a few checkpoints, from which a later call resumes it bit for bit.
+keeps a few checkpoints, from which a later read continues it bit for bit.
 """
 
 from __future__ import annotations
@@ -42,17 +42,6 @@ from .models import Hamiltonian
 INITIAL_STEP = 1e-2     # first trial step of the master-equation integrator
 MIN_STEP = 1e-12        # step size below which it gives up
 CHECKPOINTS = 8         # most checkpoints a master-equation run keeps
-
-
-@dataclass(frozen=True)
-class EvolutionResult:
-    times: np.ndarray
-    states: tuple[QuantumState, ...]
-    step: _StrangStep
-    # (t_out, t, sigma, h), kept as the output state at t_out was produced: the
-    # accepted state sigma at time t <= t_out, encoded in the step's frame, and
-    # the trial step h that follows
-    checkpoints: tuple[tuple, ...]
 
 
 def _product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -291,12 +280,61 @@ class _StrangStep:
         return half * self.unitary(h)(half * m), quarter * u_half(half * u_half(quarter * m))
 
 
+@dataclass
+class EvolutionResult:
+    """A master-equation run: its output times, their states (unless an
+    observer took them), and `state_at`, the state at any time.
+
+    A loop state (t_read, t, sigma, h), as a read at t_read left it, is the
+    accepted state sigma at time t <= t_read in the step's frame and the trial
+    step h that follows.  Accepted steps follow the error control alone, so a
+    read at any t >= t_read passes through it: a read continues from the kept
+    loop state furthest along, and every state equals that of a run from
+    t = 0 bit for bit, in any order of reads.  Reads are not thread-safe."""
+
+    times: np.ndarray
+    states: list[QuantumState]
+    step: _StrangStep
+    tol: float
+    real: bool                  # the encoding of every state is real
+    checkpoints: list[tuple]    # loop states, the start first
+    last: tuple                 # the loop state of the last read
+
+    def state_at(self, t_out: float) -> QuantumState:
+        """The state at time t_out.  Raises IntegrationError (carrying the
+        time reached) on step-size underflow, and a StateError naming t_out
+        when the state is not positive."""
+        if not t_out >= 0:
+            raise StateError(f"output times must be >= 0, got {t_out}")
+        _, t, sigma, h = max((kept for kept in (*self.checkpoints, self.last)
+                              if kept[0] <= t_out), key=lambda kept: kept[1])
+        while t + h <= t_out:
+            y1, y2 = self.step.attempt(sigma, h)
+            err = np.linalg.norm(y2 - y1) / 3.0
+            if err <= self.tol:
+                sigma = y2
+                t += h
+            factor = 0.9 * (self.tol / err) ** (1.0 / 3.0) if err > 0 else 2.0
+            h = h * min(2.0, max(0.2, factor))
+            if h < MIN_STEP:
+                raise IntegrationError("step size underflow", time_reached=t)
+        self.last = (float(t_out), t, sigma, h)
+        m = self.step(sigma, float(t_out) - t)
+        # rho = S + iA, exactly Hermitian, and positive iff it is in the true frame
+        rho = 0.5 * (m + m.T) if self.real else 0.5 * (m + m.T) + 0.5j * (m - m.T)
+        try:
+            check_positive(rho, atol=1e-7)
+        except StateError as exc:
+            raise StateError(f"{exc} (output time: {t_out:.6g})") from exc
+        return QuantumState(self.step.prop.layout, self.step.frame(rho, inverse=True))
+
+
 def lindblad_evolve(hamiltonian: Hamiltonian, jumps, rho0: QuantumState | KetEnsemble,
-                    times, tol: float, observer=None,
-                    resume: EvolutionResult | None = None) -> EvolutionResult:
+                    times, tol: float, observer=None) -> EvolutionResult:
     """Integrate the master equation with adaptive Strang splitting, for the
     jump operators whose real diagonals `jumps` holds (see
-    `models.dephasing_dissipator`).  Each output state is passed to
+    `models.dephasing_dissipator`), and read the state at each output time
+    (see `EvolutionResult.state_at`).  Each output state is passed to
     `observer`, when given; otherwise the states are returned.
 
     Every step composes exact CPTP maps (see `_StrangStep`), so the state
@@ -306,61 +344,23 @@ def lindblad_evolve(hamiltonian: Hamiltonian, jumps, rho0: QuantumState | KetEns
     it is, since an extrapolated state is not a CP image of the last one.
     Accepted steps follow the error control alone: an output state is a
     partial step from the last accepted state and is never fed back, so the
-    trajectory does not depend on the output grid.  Raises IntegrationError
-    (carrying the time reached) on step-size underflow, and a StateError
-    naming the output time when an output state is not positive.
+    trajectory does not depend on the output grid.
 
     A checkpoint is kept at every k-th output, with the smallest k that keeps
-    at most CHECKPOINTS.  `resume`, the result of a call with the same H,
-    jumps, rho0 and tol, continues that run from its latest checkpoint at or
-    before the first output time, with its own steps: every state equals that
-    of a call from t = 0 bit for bit.
+    at most CHECKPOINTS besides the start.
     """
     if rho0.layout != hamiltonian.layout:
         raise LayoutError("state layout does not match the Hamiltonian")
-    times = np.asarray(list(times), float)
-    if len(times) and times[0] < 0:
-        raise StateError(f"output times must be >= 0, got {times[0]}")
-    back = np.flatnonzero(np.diff(times) <= 0)
-    if len(back):
-        raise StateError(f"output times must be strictly increasing: {times[back[0] + 1]} "
-                         f"follows {times[back[0]]}")
-    step = _StrangStep(hamiltonian, list(jumps)) if resume is None else resume.step
+    step = _StrangStep(hamiltonian, list(jumps))
     # the input in the step's frame; a chiral H keeps a real start (real kets
     # in the parity frame, as every Fock input) real, its encoding symmetric
     rho_start = step.frame(rho0.density())
-    real = step.chiral and not np.imag(rho_start).any()
-    m_start = rho_start.real + rho_start.imag
-    t, sigma, h = 0.0, m_start, INITIAL_STEP
-    for t_out, *kept in () if resume is None else resume.checkpoints:
-        if len(times) and t_out <= times[0]:
-            t, sigma, h = kept
-    every = -(-len(times) // CHECKPOINTS)
-    states, checkpoints = [], []
-
-    for i, t_out in enumerate(times):
-        while t + h <= t_out:
-            y1, y2 = step.attempt(sigma, h)
-            err = np.linalg.norm(y2 - y1) / 3.0
-            if err <= tol:
-                sigma = y2
-                t += h
-            factor = 0.9 * (tol / err) ** (1.0 / 3.0) if err > 0 else 2.0
-            h = h * min(2.0, max(0.2, factor))
-            if h < MIN_STEP:
-                raise IntegrationError("step size underflow", time_reached=t)
+    start = (0.0, 0.0, rho_start.real + rho_start.imag, INITIAL_STEP)
+    run = EvolutionResult(np.asarray(list(times), float), [], step, tol,
+                          step.chiral and not np.imag(rho_start).any(), [start], start)
+    every = -(-len(run.times) // CHECKPOINTS)
+    for i, t_out in enumerate(run.times):
+        (observer or run.states.append)(run.state_at(t_out))
         if (i + 1) % every == 0:
-            checkpoints.append((float(t_out), t, sigma, h))
-        m = step(sigma, float(t_out) - t)
-        # rho = S + iA, exactly Hermitian, and positive iff it is in the true frame
-        rho = 0.5 * (m + m.T) if real else 0.5 * (m + m.T) + 0.5j * (m - m.T)
-        try:
-            check_positive(rho, atol=1e-7)
-        except StateError as exc:
-            raise StateError(f"{exc} (output time: {t_out:.6g})") from exc
-        st = QuantumState(rho0.layout, step.frame(rho, inverse=True))
-        if observer is not None:
-            observer(st)
-        else:
-            states.append(st)
-    return EvolutionResult(times, tuple(states), step, tuple(checkpoints))
+            run.checkpoints.append(run.last)
+    return run

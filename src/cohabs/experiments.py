@@ -334,12 +334,6 @@ def _propagator(key: ModelSpec) -> HamiltonianPropagator:
     return HamiltonianPropagator(models.build_hamiltonian(key))
 
 
-def _resume(hamiltonian, jumps, rho0, tol: float, run, t: float):
-    """The state at raw time t of the dephased run `run`, resumed from its
-    latest checkpoint at or before t."""
-    return lindblad_evolve(hamiltonian, jumps, rho0, [t], tol=tol, resume=run).states[0]
-
-
 def _evolve(config: ScenarioConfig, cutoff: int, taus, observe,
             propagators: dict[ModelSpec, HamiltonianPropagator]):
     """Evolve the configured initial state at one cutoff, piece by piece (see
@@ -350,7 +344,7 @@ def _evolve(config: ScenarioConfig, cutoff: int, taus, observe,
     unitary piece takes its propagator from `propagators` ({Hamiltonian key:
     propagator}), adding it when missing.  Returns (taus, raw times,
     trajectory): trajectory(tau) is the reduced state at any scaled time, from
-    the propagator and expansion or the checkpoints of the piece holding tau."""
+    the `state_at` of the piece holding tau."""
     model = replace(config.model, cutoff=cutoff)
     state = states.make_state(config.initial, model.layout(), pump_amplitude=model.pump)
     taus = config.schedule.taus() if taus is None else taus
@@ -359,10 +353,9 @@ def _evolve(config: ScenarioConfig, cutoff: int, taus, observe,
         state = state_ats[-1](end) if state_ats else state     # the previous piece's end
         end = duration
         if piece.dephasing_rate > 0:
-            args = (models.build_hamiltonian(piece),
-                    models.dephasing_dissipator(piece.dephasing_rate, piece), state)
-            run = lindblad_evolve(*args, times, tol=config.lindblad_tol, observer=observe)
-            state_ats.append(partial(_resume, *args, config.lindblad_tol, run))
+            state_ats.append(lindblad_evolve(
+                models.build_hamiltonian(piece), models.dephasing_dissipator(piece), state,
+                times, tol=config.lindblad_tol, observer=observe).state_at)
         else:
             key = _hamiltonian_key(piece)
             prop = propagators.get(key)
@@ -387,9 +380,10 @@ def oscillator_states(config: ScenarioConfig, taus) -> list:
     cutoff, from a run of their own.  Unitary runs give ket ensembles
     (rho = Phi Phi^dag), dephased runs density matrices; every function in
     `observables` takes either."""
-    grid = sorted({float(tau) for tau in taus})
-    *_, trajectory = _evolve(config, config.ladder()[-1], grid, lambda state: None, {})
-    return [trajectory(float(tau)) for tau in taus]
+    *_, trajectory = _evolve(config, config.ladder()[-1], [], None, {})
+    # ascending, so that each dephased read continues from the one before
+    read = {tau: trajectory(tau) for tau in sorted({float(tau) for tau in taus})}
+    return [read[float(tau)] for tau in taus]
 
 
 def wigner_snapshot(rho, points: int):

@@ -110,11 +110,12 @@ def parity_frame(layout: SpaceLayout, kets: np.ndarray, inverse: bool = False) -
     return out
 
 
-def check_positive(rho: np.ndarray, atol: float) -> float:
-    """The smallest eigenvalue of the Hermitian `rho`; StateError below -atol."""
-    lam = float(np.linalg.eigvalsh(rho)[0])
-    if lam < -atol:
-        raise StateError(f"density matrix has eigenvalue {lam:.3e} < -{atol:.1e}")
+def check_positive(rho: np.ndarray, atol: float) -> np.ndarray:
+    """The ascending eigenvalues of the Hermitian `rho`; StateError when the
+    smallest is below -atol."""
+    lam = np.linalg.eigvalsh(rho)
+    if lam[0] < -atol:
+        raise StateError(f"density matrix has eigenvalue {lam[0]:.3e} < -{atol:.1e}")
     return lam
 
 
@@ -124,7 +125,7 @@ class QuantumState:
 
     Cheap invariants (trace / hermiticity) are validated on construction.
     Positivity needs an eigendecomposition: the master-equation integrator
-    calls `check_positive` on each output point, in its own frame.
+    calls `check_positive` on each state it reads, in its own frame.
     """
 
     layout: SpaceLayout

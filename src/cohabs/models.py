@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, LayoutError, TruncationError
+from .errors import ConfigError, TruncationError
 from .hilbert import ABSORBER_LABEL, SpaceLayout
 
 OSC_LABEL = "osc"
@@ -64,6 +64,9 @@ class ModelSpec:
         orders = [i.order for i in self.interactions]
         if len(set(orders)) != len(orders):
             raise ConfigError(f"duplicate interaction orders: {orders}")
+        if self.has_pump and (self.absorber != "qubit" or not set(orders) <= {1, 2}):
+            raise ConfigError("the pumped model needs a qubit absorber and interaction "
+                              f"orders 1 and 2 only, got {self.absorber!r} and {orders}")
 
     # -- geometry ----------------------------------------------------------
 
@@ -162,14 +165,8 @@ def _interaction(k: int, g: float, spec: ModelSpec) -> list:
     with a qubit, the mixer with an oscillator absorber.  With a pump factor,
     linear absorption g (sigma+ b a + h.c.) draws its energy from the pump
     mode and the quadratic term acts as the identity on it."""
-    if not spec.has_pump:
+    if not spec.has_pump or k == 2:
         return _plus_hc(g, spec, _raising(k, spec))
-    if k not in (1, 2):
-        raise ConfigError("pumped model supports interaction orders 1 and 2 only")
-    if spec.absorber != "qubit":
-        raise LayoutError("the pumped model requires a qubit absorber")
-    if k == 2:
-        return _plus_hc(g, spec, _raising(2, spec))
     return _plus_hc(g, spec, {ABSORBER_LABEL: _dagger(_ladder(2)),
                               OSC_LABEL: _ladder(spec.cutoff),
                               PUMP_LABEL: _ladder(spec.effective_pump_dim())})
@@ -223,11 +220,8 @@ def build_hamiltonian(spec: ModelSpec) -> Hamiltonian:
 # ---------------------------------------------------------------------------
 # dissipators
 
-def dephasing_dissipator(gamma: float, spec: ModelSpec) -> list[np.ndarray]:
-    """Number dephasing on the oscillator: the diagonal sqrt(gamma) n of its one
-    jump operator sqrt(gamma) b^dag b, in storage order; no jump at gamma = 0."""
-    if gamma < 0:
-        raise ConfigError(f"dephasing rate must be >= 0, got {gamma}")
-    if gamma == 0.0:
-        return []
-    return [_kron(spec, {OSC_LABEL: _number(spec.cutoff, math.sqrt(gamma))})[2]]
+def dephasing_dissipator(spec: ModelSpec) -> list[np.ndarray]:
+    """Number dephasing on the oscillator at the spec's rate gamma: the
+    diagonal sqrt(gamma) n of its one jump operator sqrt(gamma) b^dag b, in
+    storage order."""
+    return [_kron(spec, {OSC_LABEL: _number(spec.cutoff, math.sqrt(spec.dephasing_rate))})[2]]

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ShellRemovalError, StateError
-from .hilbert import KetEnsemble, QuantumState, abs2
+from .hilbert import KetEnsemble, QuantumState, abs2, check_positive
 
 EIGENVALUE_FLOOR = 1e-14
 COHERENCE_FLOOR = -1e-10
@@ -35,17 +35,13 @@ def _as_density(rho) -> np.ndarray:
 
 
 def _spectrum(rho) -> np.ndarray:
-    """Eigenvalues of rho.  A KetEnsemble Phi (N, M) takes the smaller of its
-    Gram matrices Phi^dag Phi and Phi Phi^dag, which share the nonzero ones."""
+    """Ascending eigenvalues of rho; StateError below -1e-6.  A KetEnsemble
+    Phi (N, M) takes the smaller of its Gram matrices Phi^dag Phi and
+    Phi Phi^dag, which share the nonzero ones."""
     if isinstance(rho, KetEnsemble):
         phi = rho.kets
-        gram = phi.conj().T @ phi if phi.shape[1] < phi.shape[0] else phi @ phi.conj().T
-        lam = np.linalg.eigvalsh(gram)
-    else:
-        lam = np.linalg.eigvalsh(_as_density(rho))
-    if lam[0] < -1e-6:
-        raise StateError(f"density matrix has eigenvalue {lam[0]:.3e}")
-    return lam
+        rho = phi.conj().T @ phi if phi.shape[1] < phi.shape[0] else phi @ phi.conj().T
+    return check_positive(_as_density(rho), atol=1e-6)
 
 
 def _populations(rho) -> np.ndarray:

@@ -284,6 +284,16 @@ class TestExitCodes:
             argv += ["--set", pair]
         assert dispatch(argv) == 2
 
+    @pytest.mark.parametrize("override, message", [
+        ('model.absorber="oscillator"', "qubit absorber"),
+        ("model.interactions=[[1,1.0],[3,0.1]]", "orders 1 and 2"),
+    ], ids=["oscillator-absorber", "order-three"])
+    def test_pumped_model_constraints_checked_at_load(self, capsys, override, message):
+        argv = ["completed", "--config", str(CONFIGS / "appendixD.json"), "--dry-run",
+                "--set", override]
+        assert dispatch(argv) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("config", ["appendixC_dephasing", "fig1"])
     def test_repeated_output_times_rejected(self, capsys, config):
         # tau_max = 0 with several points asks for the same time more than once

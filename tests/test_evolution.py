@@ -345,7 +345,7 @@ class TestParityFrame:
 
         # the integrator's error is its tolerance (see TestLindblad), so the
         # dephased piece is checked against its own run from the expm state
-        jumps = dephasing_dissipator(0.3, spec)
+        jumps = dephasing_dissipator(replace(spec, dephasing_rate=0.3))
         state4, = lindblad_evolve(h1, jumps, state2, [t4], tol=1e-7).states
         want, = lindblad_evolve(h1, jumps, QuantumState(layout, rho2), [t4], tol=1e-7).states
         self.agree(state4, want.data)
@@ -443,7 +443,7 @@ class TestSequentialSwitch:
         cfg = switch_config(s, [(1, 0.6), (2, 0.9)], 4)
         got = switch_states(s, [(1, 0.6), (2, 0.9)], 4)
         state = fock_state(s, 4)
-        jumps = dephasing_dissipator(0.2, s)
+        jumps = dephasing_dissipator(s)
         for (k, t), stt in zip([(1, 0.6), (2, 0.9)], got):
             segment = replace(s, interactions=(Interaction(k, s.coupling(k)),))
             state, = lindblad_evolve(build_hamiltonian(segment), jumps, state, [t],
@@ -509,7 +509,7 @@ def vectorized_lindbladian(h, jumps) -> np.ndarray:
 class TestLindblad:
     def small(self, cutoff=10, gamma=0.2):
         s = two_body(cutoff=cutoff, dephasing_rate=gamma)
-        return s, build_hamiltonian(s), dephasing_dissipator(gamma, s)
+        return s, build_hamiltonian(s), dephasing_dissipator(s)
 
     def test_closed_system_matches_unitary(self, rng):
         s, h, _ = self.small(gamma=0.0)
@@ -572,20 +572,15 @@ class TestLindblad:
         with pytest.raises(StateError):
             lindblad_evolve(h, jumps, rho0, [-0.1, 1.0], tol=1e-8)
 
-    def test_rejects_decreasing_output_times(self, rng):
+    @pytest.mark.parametrize("times", [[0.0, 0.5, 0.2], [0.1, 0.1]],
+                             ids=["decreasing", "repeated"])
+    def test_unordered_output_times_equal_runs_from_zero(self, rng, times):
         s, h, jumps = self.small(cutoff=6)
         rho0 = QuantumState(s.layout(), random_density(rng, s.layout().total_dim))
-        with pytest.raises(StateError, match="0.2 follows 0.5"):
-            lindblad_evolve(h, jumps, rho0, [0.0, 0.5, 0.2], tol=1e-8)
-
-    def test_rejects_repeated_output_times_before_integrating(self, rng, monkeypatch):
-        s, h, jumps = self.small(cutoff=6)
-        rho0 = QuantumState(s.layout(), random_density(rng, s.layout().total_dim))
-        for seam in ("attempt", "__call__"):
-            monkeypatch.setattr(evolution._StrangStep, seam,
-                                lambda *args: pytest.fail("integrated before the check"))
-        with pytest.raises(StateError, match="0.1 follows 0.1"):
-            lindblad_evolve(h, jumps, rho0, [0.1, 0.1], tol=1e-8)
+        res = lindblad_evolve(h, jumps, rho0, times, tol=1e-8)
+        for t, stt in zip(times, res.states, strict=True):
+            alone, = lindblad_evolve(h, jumps, rho0, [t], tol=1e-8).states
+            assert np.array_equal(stt.data, alone.data), t
 
     def test_positivity_error_names_output_time(self):
         # a trace-1 Hermitian input with eigenvalues (1.2, -0.2) trips at t = 0
@@ -662,7 +657,7 @@ class TestLindblad:
         dim = layout.total_dim
         assume(dim <= 24)
         rng = np.random.default_rng(seed)
-        h, jumps = build_hamiltonian(spec), dephasing_dissipator(gamma, spec)
+        h, jumps = build_hamiltonian(spec), dephasing_dissipator(replace(spec, dephasing_rate=gamma))
         if real:
             kets = rng.normal(size=(dim, 3))
             rho0 = KetEnsemble(layout, kets / np.linalg.norm(kets))
@@ -709,7 +704,7 @@ class TestStrangStep:
         spec, chiral = model
         rng = np.random.default_rng(seed)
         dim = spec.layout().total_dim
-        ham, jumps = build_hamiltonian(spec), dephasing_dissipator(0.3, spec)
+        ham, jumps = build_hamiltonian(spec), dephasing_dissipator(replace(spec, dephasing_rate=0.3))
         step = evolution._StrangStep(ham, jumps)
         assert step.chiral == chiral
         assert step.rates.dtype == np.float64

@@ -133,31 +133,54 @@ class TestRunScenario:
         assert run.extras["raw_coherence_at_max"] == run.max_coherence
 
     def test_dephased_run_integrates_once(self, monkeypatch):
-        # the series is the one integration from t = 0; each of the two
-        # snapshot states resumes from a checkpoint, so it costs at most one
-        # checkpoint interval of Strang-step attempts
+        # the series is the one integration from t = 0.  The half-max state
+        # continues from the series' latest checkpoint before it, the max
+        # state from that checkpoint or the half-max read, whichever is
+        # later: each repeats exactly the series' Strang-step attempts since,
+        # and the max-state read none before the half-max time
         cfg = replace(dephased_config(shell_removal=True),
                       schedule=ScheduleSpec(tau_max=0.6, points=40))
-        steps, marks, resumes = [], [], []
-        diagnose, evolve = experiments.diagnose, experiments.lindblad_evolve
-        # an attempt (step doubling) and an output state's partial step each count once
-        for seam in ("attempt", "__call__"):
-            monkeypatch.setattr(_StrangStep, seam, lambda self, sigma, h, run=getattr(
-                _StrangStep, seam): steps.append(h) or run(self, sigma, h))
-        # the series' step count as each output state is observed
+        attempts, marks, calls = [], [], []
+        attempt, diagnose = _StrangStep.attempt, experiments.diagnose
+        evolve = experiments.lindblad_evolve
+        monkeypatch.setattr(_StrangStep, "attempt", lambda self, sigma, h: (
+            attempts.append(h) or attempt(self, sigma, h)))
+        # the series' attempt count as each output state is observed
         monkeypatch.setattr(experiments, "diagnose",
-                            lambda rho: marks.append(len(steps)) or diagnose(rho))
+                            lambda rho: marks.append(len(attempts)) or diagnose(rho))
         monkeypatch.setattr(experiments, "lindblad_evolve",
-                            lambda *a, **kw: resumes.append(kw.get("resume")) or evolve(*a, **kw))
+                            lambda *a, **kw: calls.append(a) or evolve(*a, **kw))
         run = run_scenario(cfg)
         assert {"wigner_half", "wigner_max", "shell_removed_coherence"} <= set(run.extras)
-        assert resumes[0] is None and len(resumes) == 3
-        assert all(r is not None for r in resumes[1:])
+        assert len(calls) == 1 and len(marks) == 40
+        i_half, i_max = (int(np.flatnonzero(run.taus == tau)[0])
+                         for tau in (run.tau_at_half, run.tau_at_max))
         every = -(-len(marks) // CHECKPOINTS)
-        bounds = [0] + marks[every - 1::every] + [marks[-1]]
-        interval = max(b - a for a, b in zip(bounds, bounds[1:]))
-        # a resume from t = 0 would cost every attempt before the state's time
-        assert len(steps) - marks[-1] <= 2 * interval < marks[-1]
+        assert every <= i_half < i_max < len(marks) - 1
+        kept = [0] + marks[every - 1::every]    # the attempts behind the start and each checkpoint
+        half = marks[i_half] - kept[(i_half + 1) // every]
+        at_max = marks[i_max] - max(marks[i_half], kept[(i_max + 1) // every])
+        assert len(attempts) - marks[-1] == half + at_max
+
+    @pytest.mark.parametrize("dephasing_rate", [0.0, 0.05], ids=["unitary", "dephased"])
+    def test_oscillator_states_read_each_state_once(self, monkeypatch, dephasing_rate):
+        # ascending, each distinct tau once; a dephased read continues from
+        # the one before, so the earlier state costs no extra attempt
+        cfg = dephased_config(dephasing_rate)
+        reads, attempts = [], []
+        state_at, attempt = HamiltonianPropagator.state_at, _StrangStep.attempt
+        monkeypatch.setattr(HamiltonianPropagator, "state_at", lambda self, state0, t: (
+            reads.append(t) or state_at(self, state0, t)))
+        monkeypatch.setattr(_StrangStep, "attempt", lambda self, sigma, h: (
+            attempts.append(h) or attempt(self, sigma, h)))
+        oscillator_states(cfg, [0.5])
+        alone = len(attempts)
+        reads.clear()
+        rhos = oscillator_states(cfg, [0.5, 0.2, 0.5])
+        assert rhos[0] is rhos[2]
+        assert len(attempts) == 2 * alone
+        scale = cfg.model.tau_scale()
+        assert reads == ([] if dephasing_rate else [0.2 / scale, 0.5 / scale])
 
     @pytest.mark.parametrize("dephasing_rate", [0.0, 0.05], ids=["unitary", "dephased"])
     def test_wigner_files_match_oscillator_states(self, dephasing_rate, tmp_path):
@@ -340,8 +363,9 @@ class TestTrajectory:
     @settings(max_examples=10, deadline=None)
     @given(points=st.integers(2 * CHECKPOINTS + 1, 3 * CHECKPOINTS),
            dephasing_rate=st.sampled_from([0.0, 0.05]),
-           fractions=st.lists(st.floats(0.0, 1.0), max_size=2))
-    def test_states_equal_a_run_from_zero(self, points, dephasing_rate, fractions):
+           fractions=st.lists(st.floats(0.0, 1.0), max_size=2),
+           order=st.randoms(use_true_random=False))
+    def test_states_equal_a_run_from_zero(self, points, dephasing_rate, fractions, order):
         # at output times, mid-interval times, checkpoint times, before the
         # first checkpoint and at the end, against a run of its own from
         # t = 0 to that time alone
@@ -354,6 +378,9 @@ class TestTrajectory:
                    taus[first + 1], 0.5 * (taus[first] + taus[first + 1]),
                    taus[2 * every - 1], taus[-2], taus[-1],
                    *(f * taus[-1] for f in fractions)]
+        # read in any order: a dephased read continues from the last read or
+        # a checkpoint only when it comes at or after it
+        order.shuffle(samples)
         for tau in samples:
             ref, = oscillator_states(cfg, [tau])
             assert np.array_equal(state_array(run.trajectory(tau)), state_array(ref)), tau

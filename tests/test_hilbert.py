@@ -188,6 +188,6 @@ class TestValidation:
     def test_embed_matches_kron(self, dim):
         # a single-factor term lifted into the composite layout: the number
         # dephasing jump sqrt(gamma) b^dag b at gamma = 1
-        spec = ModelSpec(interactions=(Interaction(1, 1.0),), cutoff=dim)
-        (jump,) = dephasing_dissipator(1.0, spec)
+        spec = ModelSpec(interactions=(Interaction(1, 1.0),), cutoff=dim, dephasing_rate=1.0)
+        (jump,) = dephasing_dissipator(spec)
         assert np.array_equal(np.diag(jump), np.kron(np.eye(2), np.diag(np.arange(dim))))

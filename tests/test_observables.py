@@ -83,8 +83,21 @@ class TestEntropies:
         assert von_neumann_entropy(rho) == pytest.approx(expected, abs=1e-2)
 
     def test_invalid_state_rejected(self):
-        with pytest.raises(StateError):
-            von_neumann_entropy(np.diag([1.5, -0.5]).astype(complex))
+        for measure in (von_neumann_entropy, diagnose):
+            with pytest.raises(StateError):
+                measure(np.diag([1.5, -0.5]).astype(complex))
+
+    @pytest.mark.parametrize("lowest, rejected", [(-1e-7, False), (-1e-5, True)],
+                             ids=["inside", "outside"])
+    def test_positivity_tolerance(self, lowest, rejected):
+        # the spectrum of every entropy is checked to an eigenvalue of -1e-6
+        rho = np.diag([0.6 - lowest, 0.4, lowest]).astype(complex)
+        for measure in (von_neumann_entropy, diagnose):
+            if rejected:
+                with pytest.raises(StateError, match="< -1.0e-06"):
+                    measure(rho)
+            else:
+                measure(rho)
 
 
 class TestCoherence:
